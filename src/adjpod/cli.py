@@ -20,11 +20,10 @@ import numpy as np
 
 from . import inversion, serialize
 from .experiment import (DEFAULT_T, DESK_M, DESK_NX, EXAMPLE_LABELS, FULL_M,
-                         FULL_NX, ExperimentConfig, StageError, load_config,
-                         parse_coefficient, run_example, run_experiment)
-from .fem import CoefficientSet, TimeGrid, assemble_operators, solve_forward
+                         FULL_NX, ExperimentConfig, StageError, build_problem,
+                         load_config, run_example, run_experiment)
 from .grid import build_grid
-from .reduced import build_adjoint_pod
+from .reduced import build_adjoint_pod, drive
 from .shapes import list_shapes, make_shape
 from .spectral import ProblemKind
 from .verify import build_theory_matrices, verify_pod_bound, verify_span_equality
@@ -57,12 +56,7 @@ def _grid_time_from(args) -> tuple:
     nx = args.nx if args.nx is not None else (FULL_NX if args.full_scale else DESK_NX)
     ny = args.ny if args.ny is not None else (FULL_NX if args.full_scale else DESK_NX)
     m = args.M if args.M is not None else (FULL_M if args.full_scale else DESK_M)
-    kind = ProblemKind.parse(args.kind)
-    t_final = args.T if args.T is not None else DEFAULT_T[kind]
-    grid = build_grid(nx, ny)
-    coeffs = CoefficientSet(q=parse_coefficient(args.q), c=parse_coefficient(args.c))
-    ops = assemble_operators(grid, coeffs)
-    return kind, grid, ops, TimeGrid(T=t_final, M=m)
+    return build_problem(args.kind, nx, ny, args.T, m, args.q, args.c)
 
 
 def _field_from(spec: str, grid):
@@ -84,11 +78,7 @@ def _field_from(spec: str, grid):
 def _cmd_forward(args) -> int:
     kind, grid, ops, tg = _grid_time_from(args)
     data = _field_from(args.input, grid)
-    zero = np.zeros(grid.n_nodes)
-    if kind is ProblemKind.INVERSE_SOURCE:
-        traj = solve_forward(ops, tg, f=data, g=zero)
-    else:
-        traj = solve_forward(ops, tg, f=zero, g=data)
+    traj = drive(kind, data, ops, tg)
     os.makedirs(args.out, exist_ok=True)
     serialize.write_field_csv(os.path.join(args.out, "input.csv"), grid, data)
     serialize.write_field_csv(os.path.join(args.out, "final_state.csv"),
@@ -138,8 +128,10 @@ def _cmd_adjoint_pod(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_denoise(args) -> int:
-    grid = build_grid(args.nx if args.nx is not None else DESK_NX,
-                      args.ny if args.ny is not None else DESK_NX)
+    # denoising is stationary: the kind and time grid go unused
+    _, grid, ops, _ = build_problem(
+        "source", args.nx if args.nx is not None else DESK_NX,
+        args.ny if args.ny is not None else DESK_NX, None, 1, args.q, args.c)
     detectors, readings = serialize.read_measurements_csv(args.measurements)
     ms = inversion.MeasurementSet(
         detectors=detectors, readings=readings,
@@ -148,9 +140,6 @@ def _cmd_denoise(args) -> int:
     if args.alpha == "auto":
         if args.sigma is None:
             raise ValueError("--alpha auto needs --sigma (the noise scale)")
-        coeffs = CoefficientSet(q=parse_coefficient(args.q),
-                                c=parse_coefficient(args.c))
-        ops = assemble_operators(grid, coeffs)
         pilot = inversion.denoise(ms, grid, 1e-6)
         smoothness = inversion.h2_norm_estimate(grid, ops, pilot)
         alpha = inversion.select_alpha(args.sigma, ms.n, smoothness)
@@ -252,12 +241,9 @@ def _cmd_verify_theory(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_run_example(args) -> int:
-    base = ExperimentConfig()
-    if args.full_scale:
-        base = ExperimentConfig(nx=FULL_NX, ny=FULL_NX, M=FULL_M)
-    if args.seed is not None:
-        from dataclasses import replace
-        base = replace(base, seed=args.seed)
+    scale = dict(nx=FULL_NX, ny=FULL_NX, M=FULL_M) if args.full_scale else {}
+    seed = {} if args.seed is None else {"seed": args.seed}
+    base = ExperimentConfig(**scale, **seed)
     out = args.out if args.out is not None else f"example_{args.label}"
     summary = run_example(args.label, out, base)
     for check in summary["checks"]:

@@ -175,6 +175,8 @@ def conform_dirichlet(grid: Grid2D, values: np.ndarray, what: str = "field") -> 
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n_nodes,):
         raise ValueError(f"{what} length does not match node count")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite (found NaN or infinite values)")
     scale = max(1.0, float(np.max(np.abs(values))))
     worst = float(np.max(np.abs(values[grid.boundary]))) if grid.boundary.any() else 0.0
     if worst > _BOUNDARY_TOL * scale:

@@ -6,7 +6,9 @@ POD coordinates, either by gradient descent on
 
     J(f) = 1/2 ( ||S f - m||^2 + lambda ||f||^2 )
 
-or by the closed-form normal equations (S^T S + lambda I) f = S^T m.
+or in closed form.  Both work in the eigenbasis S = Q diag(w) Q^T of the
+reduced solution operator, where the minimizer is the spectral filter
+f = Q (w / (w^2 + lambda)) Q^T m and each descent step is diagonal.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
 from .fem import DiscreteOperators
 from .grid import Grid2D
-from .reduced import ReducedModel, spod_matrix
+from .reduced import ReducedModel
+from .reduced import spod_matrix  # noqa: F401 - traced by perfbench/spans.py
 
 ALPHA_FLOOR = 1e-14
 _SNAP_TOL = 1e-9
@@ -157,6 +159,18 @@ def h2_norm_estimate(grid: Grid2D, ops: DiscreteOperators, values: np.ndarray) -
     return float(np.sqrt(l2 + h1 + h2))
 
 
+def _check_lam(lam: float) -> None:
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"Tikhonov weight must be finite and >= 0, got {lam}")
+
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite, got {values}")
+    return values
+
+
 @dataclass(frozen=True)
 class InverseConfig:
     """Knobs of the reduced-space Tikhonov solve."""
@@ -169,10 +183,9 @@ class InverseConfig:
     initial: Optional[np.ndarray] = None  # reduced-coordinate start, default 0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"Tikhonov weight must be >= 0, got {self.lam}")
-        if self.beta is not None and not self.beta > 0:
-            raise ValueError(f"step size must be positive, got {self.beta}")
+        _check_lam(self.lam)
+        if self.beta is not None and not (np.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"step size must be finite and positive, got {self.beta}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.mode not in ("direct", "gradient"):
@@ -182,37 +195,40 @@ class InverseConfig:
 def tikhonov_objective(model: ReducedModel, f_r: np.ndarray, m_r: np.ndarray,
                        lam: float) -> float:
     """J(f) = 1/2 (||S f - m||^2 + lam ||f||^2) in reduced coordinates."""
-    S = spod_matrix(model)
-    r = S @ f_r - m_r
+    w, Q = model.spectrum
+    r = w * (Q.T @ f_r) - Q.T @ m_r
     return 0.5 * (float(r @ r) + lam * float(f_r @ f_r))
 
 
 def gradient_of_J(model: ReducedModel, f_r: np.ndarray, m_r: np.ndarray,
                   lam: float) -> np.ndarray:
-    """Gradient S^T (S f - m) + lam f; S^T is exact in orthonormal coordinates."""
+    """Gradient S^T (S f - m) + lam f = Q ((w^2 + lam) Q^T f - w Q^T m)."""
     f_r = np.asarray(f_r, dtype=float)
-    m_r = np.asarray(m_r, dtype=float)
+    m_r = _finite(m_r, "measurement coefficients m_r")
     if f_r.shape != (model.n_pod,) or m_r.shape != (model.n_pod,):
         raise ValueError("coefficient vectors must match the basis size")
-    if lam < 0:
-        raise ValueError(f"Tikhonov weight must be >= 0, got {lam}")
-    S = spod_matrix(model)
-    return S.T @ (S @ f_r - m_r) + lam * f_r
+    _check_lam(lam)
+    w, Q = model.spectrum
+    return Q @ ((w * w + lam) * (Q.T @ f_r) - w * (Q.T @ m_r))
 
 
 def descent_step_bound(model: ReducedModel, lam: float) -> float:
     """Stability bound 2 / (s_max^2 + lam) for the gradient iteration."""
-    s_max = scipy.linalg.svd(spod_matrix(model), compute_uv=False)[0]
+    s_max = float(np.max(model.spectrum[0]))
     return 2.0 / (s_max ** 2 + lam)
 
 
 def tikhonov_gradient_descent_reduced(model: ReducedModel, m_r: np.ndarray,
                                       cfg: InverseConfig):
-    """Gradient iteration in reduced coordinates; returns (f_r, J history)."""
-    S = spod_matrix(model)
-    s_max = scipy.linalg.svd(S, compute_uv=False)[0]
-    bound = 2.0 / (s_max ** 2 + cfg.lam)
-    beta = cfg.beta if cfg.beta is not None else 1.0 / (s_max ** 2 + cfg.lam)
+    """Gradient iteration in reduced coordinates; returns (f_r, J history).
+
+    The iteration runs on the eigen-coordinates z = Q^T f, where the step
+    f <- f - beta grad J is diagonal; the gradient norm, J and hence the
+    stopping rule are the same as in the original coordinates.
+    """
+    w, Q = model.spectrum
+    bound = descent_step_bound(model, cfg.lam)
+    beta = cfg.beta if cfg.beta is not None else 0.5 * bound
     if not beta < bound:
         raise ValueError(
             f"step size {beta} violates the stability bound: need beta < {bound}")
@@ -221,18 +237,22 @@ def tikhonov_gradient_descent_reduced(model: ReducedModel, m_r: np.ndarray,
         else np.zeros(model.n_pod)
     if f.shape != (model.n_pod,):
         raise ValueError("initial guess must match the basis size")
+    m_r = _finite(m_r, "measurement coefficients m_r")
 
-    grad = gradient_of_J(model, f, m_r, cfg.lam)
+    z = Q.T @ f
+    n = Q.T @ m_r
+    curvature = w * w + cfg.lam
+    grad = curvature * z - w * n
     tol = cfg.grad_tol if cfg.grad_tol is not None \
         else 1e-10 * (float(np.linalg.norm(grad)) + 1.0)
     history = [tikhonov_objective(model, f, m_r, cfg.lam)]
     for _ in range(cfg.max_iters):
         if np.linalg.norm(grad) <= tol:
             break
-        f = f - beta * grad
-        history.append(tikhonov_objective(model, f, m_r, cfg.lam))
-        grad = gradient_of_J(model, f, m_r, cfg.lam)
-    return f, np.asarray(history)
+        z = z - beta * grad
+        history.append(tikhonov_objective(model, Q @ z, m_r, cfg.lam))
+        grad = curvature * z - w * n
+    return Q @ z, np.asarray(history)
 
 
 def tikhonov_gradient_descent(model: ReducedModel, m: np.ndarray,
@@ -245,16 +265,13 @@ def tikhonov_gradient_descent(model: ReducedModel, m: np.ndarray,
 
 def tikhonov_direct_reduced(model: ReducedModel, m_r: np.ndarray,
                             lam: float) -> np.ndarray:
-    """Closed-form reduced minimizer (S^T S + lam I)^{-1} S^T m."""
-    if lam < 0:
-        raise ValueError(f"Tikhonov weight must be >= 0, got {lam}")
-    S = spod_matrix(model)
-    if lam == 0.0:
-        svals = scipy.linalg.svd(S, compute_uv=False)
-        if svals[-1] <= 1e-14 * svals[0]:
-            raise ValueError("normal matrix is singular: lam = 0 with rank-deficient S")
-    H = S.T @ S + lam * np.eye(model.n_pod)
-    return scipy.linalg.solve(H, S.T @ m_r, assume_a="pos")
+    """Closed-form reduced minimizer: the spectral filter Q (w / (w^2 + lam)) Q^T m."""
+    _check_lam(lam)
+    m_r = _finite(m_r, "measurement coefficients m_r")
+    w, Q = model.spectrum
+    if lam == 0.0 and np.min(np.abs(w)) <= 1e-14 * np.max(np.abs(w)):
+        raise ValueError("normal matrix is singular: lam = 0 with rank-deficient S")
+    return Q @ (w / (w * w + lam) * (Q.T @ m_r))
 
 
 def tikhonov_direct(model: ReducedModel, m: np.ndarray, lam: float) -> np.ndarray:

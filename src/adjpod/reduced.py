@@ -24,21 +24,30 @@ from .spectral import ProblemKind
 _ORTHO_TOL = 1e-10
 
 
+def drive(kind: ProblemKind, field: np.ndarray, ops: DiscreteOperators,
+          tg: TimeGrid) -> Trajectory:
+    """Full-order trajectory of the heat equation driven by ``field``.
+
+    Source kind: forcing = field, zero initial state.  Backward kind: zero
+    forcing, initial state = field.  The field's boundary values are not
+    touched, so ``solve_forward`` rejects a field that does not vanish there.
+    """
+    zero = np.zeros(ops.grid.n_nodes)
+    if ProblemKind.parse(kind) is ProblemKind.INVERSE_SOURCE:
+        return solve_forward(ops, tg, f=field, g=zero)
+    return solve_forward(ops, tg, f=zero, g=field)
+
+
 def solve_adjoint(kind: ProblemKind, m: np.ndarray, ops: DiscreteOperators,
                   tg: TimeGrid) -> Trajectory:
     """Full-order auxiliary trajectory driven by the measurement field m.
 
-    Source kind: forcing = m, zero initial state.  Backward kind: zero
-    forcing, initial state = m.  Boundary residue on m (for example left
-    over from denoising) is projected to zero.
+    Boundary residue on m (for example left over from denoising) is
+    projected to zero before ``drive``.
     """
-    kind = ProblemKind.parse(kind)
     m = np.asarray(m, dtype=float).copy()
     m[ops.grid.boundary] = 0.0
-    zero = np.zeros(ops.grid.n_nodes)
-    if kind is ProblemKind.INVERSE_SOURCE:
-        return solve_forward(ops, tg, f=m, g=zero)
-    return solve_forward(ops, tg, f=zero, g=m)
+    return drive(kind, m, ops, tg)
 
 
 def build_adjoint_pod(kind: ProblemKind, m: np.ndarray, ops: DiscreteOperators,
@@ -102,9 +111,23 @@ class ReducedModel:
         return self.basis.n_pod
 
     @cached_property
-    def _propagator_eig(self):
+    def spectrum(self):
+        """Eigenpairs (w, Q) of the final-time solution operator S = Q diag(w) Q^T.
+
+        With B = (I + dt A_r)^{-1}: backward kind gives S = B^M; source kind
+        gives S = dt * sum_{k=1..M} B^k.  Both are functions of the symmetric
+        A_r, so Q holds its eigenvectors and w maps its eigenvalues; w > 0.
+        """
         lams, Q = scipy.linalg.eigh(0.5 * (self.a_r + self.a_r.T))
-        return lams, Q
+        dt = self.tg.dt
+        M = self.tg.M
+        decay = (1.0 + dt * lams) ** (-M)
+        if self.kind is ProblemKind.BACKWARD:
+            return decay, Q
+        # dt * sum_{k=1..M} b^k collapses to (1 - b^M) / lam, with the
+        # lam -> 0 limit dt * M
+        safe = np.where(lams == 0.0, 1.0, lams)
+        return np.where(lams == 0.0, dt * M, (1.0 - decay) / safe), Q
 
 
 def build_reduced_model(ops: DiscreteOperators, basis: PodBasis, tg: TimeGrid,
@@ -150,22 +173,8 @@ def reduced_solve(model: ReducedModel, input_values: np.ndarray):
 
 
 def spod_matrix(model: ReducedModel) -> np.ndarray:
-    """Final-time solution operator on basis coefficients, as a dense matrix.
-
-    With B = (I + dt A_r)^{-1}: backward kind gives B^M; source kind gives
-    dt * sum_{k=1..M} B^k, evaluated stably through the eigendecomposition
-    of A_r (both are symmetric positive-definite matrix functions).
-    """
-    lams, Q = model._propagator_eig
-    dt = model.tg.dt
-    M = model.tg.M
-    decay = (1.0 + dt * lams) ** (-M)
-    if model.kind is ProblemKind.BACKWARD:
-        weights = decay
-    else:
-        # dt * sum_{k=1..M} b^k collapses to (1 - b^M) / lam, with the
-        # lam -> 0 limit dt * M
-        safe = np.where(lams == 0.0, 1.0, lams)
-        weights = np.where(lams == 0.0, dt * M, (1.0 - decay) / safe)
-    S = (Q * weights) @ Q.T
+    """Final-time solution operator on basis coefficients, as a dense
+    (symmetric) matrix assembled from ``model.spectrum``."""
+    w, Q = model.spectrum
+    S = (Q * w) @ Q.T
     return 0.5 * (S + S.T)

@@ -103,18 +103,6 @@ class SpectralCoefficients:
         return out
 
 
-def final_time_factor(kind: ProblemKind, mu, T: float):
-    """Per-mode map from the unknown's coefficient to the final-time coefficient.
-
-    Source kind: (1 - e^{-mu T}) / mu.  Backward kind: e^{-mu T}.
-    """
-    kind = ProblemKind.parse(kind)
-    mu = np.asarray(mu, dtype=float)
-    if kind is ProblemKind.INVERSE_SOURCE:
-        return (1.0 - np.exp(-mu * T)) / mu
-    return np.exp(-mu * T)
-
-
 def adjoint_response_factor(kind: ProblemKind, mu, t):
     """Per-mode response of the data-driven auxiliary problem at time t.
 
@@ -131,13 +119,19 @@ def adjoint_response_factor(kind: ProblemKind, mu, t):
     return np.exp(-mu * t)
 
 
+def final_time_factor(kind: ProblemKind, mu, T: float):
+    """Per-mode map from the unknown's coefficient to the final-time
+    coefficient: the auxiliary response at t = T."""
+    return adjoint_response_factor(kind, mu, T)
+
+
 def spectral_solution(kind: ProblemKind, coeffs: SpectralCoefficients,
                       T: float) -> SpectralCoefficients:
     """Exact final-time coefficients for either problem kind."""
     kind = ProblemKind.parse(kind)
     if not T > 0:
         raise ValueError(f"final time must be positive, got {T}")
-    alpha = final_time_factor(kind, coeffs.mus, T)
+    alpha = adjoint_response_factor(kind, coeffs.mus, T)
     return SpectralCoefficients(modes=coeffs.modes, values=coeffs.values * alpha)
 
 

@@ -23,7 +23,7 @@ from .fem import CoefficientSet, assemble_operators
 from .grid import Grid2D
 from .pod import compute_pod_basis
 from .spectral import (ProblemKind, SpectralCoefficients, adjoint_response_factor,
-                       distinct_mu_subset, final_time_factor, laplace_eigenpair)
+                       distinct_mu_subset, laplace_eigenpair)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +66,7 @@ def build_theory_matrices(kind: ProblemKind, L: int, M: int, T: float,
     phi = np.column_stack([laplace_eigenpair(j, k, grid)[1] for j, k in sel.modes])
     ts = np.arange(1, M + 1) * (T / M)
     J = adjoint_response_factor(kind, mus[:, None], ts[None, :])
-    d = final_time_factor(kind, mus, T)
+    d = adjoint_response_factor(kind, mus, T)
     A = phi @ (sel.values[:, None] * J)
     A_tilde = phi @ (d[:, None] * sel.values[:, None] * J)
     return TheoryMatrices(kind=kind, L=L, M=M, T=T, modes=sel.modes, mus=mus,

@@ -59,10 +59,14 @@ def _grid_time_from(args) -> tuple:
     return build_problem(args.kind, nx, ny, args.T, m, args.q, args.c)
 
 
-def _field_from(spec: str, grid):
-    """A field argument is a shape name or a path to a field CSV."""
+def _field_from(spec: str, grid, what: str):
+    """A field argument is a shape name or a path to a field CSV; ``what``
+    names the field's role in the error raised for an unreadable file."""
     if os.path.exists(spec):
-        file_grid, values = serialize.read_field_csv(spec)
+        try:
+            file_grid, values = serialize.read_field_csv(spec)
+        except ValueError as exc:
+            raise ValueError(f"{what}: {exc}") from exc
         if file_grid.nx != grid.nx or file_grid.ny != grid.ny:
             raise ValueError(
                 f"field file {spec!r} is {file_grid.nx}x{file_grid.ny} "
@@ -77,7 +81,9 @@ def _field_from(spec: str, grid):
 
 def _cmd_forward(args) -> int:
     kind, grid, ops, tg = _grid_time_from(args)
-    data = _field_from(args.input, grid)
+    data = _field_from(args.input, grid,
+                       "source term" if kind is ProblemKind.INVERSE_SOURCE
+                       else "initial state")
     traj = drive(kind, data, ops, tg)
     os.makedirs(args.out, exist_ok=True)
     serialize.write_field_csv(os.path.join(args.out, "input.csv"), grid, data)
@@ -101,7 +107,7 @@ def _cmd_forward(args) -> int:
 
 def _cmd_adjoint_pod(args) -> int:
     kind, grid, ops, tg = _grid_time_from(args)
-    data = _field_from(args.data, grid)
+    data = _field_from(args.data, grid, "measurement field")
     data = data.copy()
     data[grid.boundary] = 0.0
     selector = ({"energy_tol": args.energy} if args.energy is not None

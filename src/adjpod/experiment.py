@@ -5,11 +5,18 @@ detectors, adds noise, denoises, builds the requested POD basis, reduces,
 inverts, and emits plain-text artifacts (fields as CSV, metrics as JSON)
 into one output directory.  Failures are tagged with the pipeline stage;
 artifacts written before the failure are kept.
+
+Work that does not depend on the measurement noise is done once per
+process: ``build_problem`` keeps the last few problems (grid, operators
+with their time-step factorizations, time grid), and the truth stage
+(truth field, its final state and solve time, the inverse-crime basis) is
+kept for the most recent key.  Both keys hold every input of the result.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -21,7 +28,7 @@ from . import inversion, serialize
 from .fem import CoefficientSet, TimeGrid, assemble_operators
 from .fem import solve_forward  # noqa: F401 - traced by perfbench/spans.py
 from .grid import Grid2D, build_grid
-from .pod import principal_angles
+from .pod import PodBasis, principal_angles
 from .reduced import (build_adjoint_pod, build_reduced_model, build_traditional_pod,
                       drive, reduced_solve)
 from .reduced import spod_matrix  # noqa: F401 - traced by perfbench/spans.py
@@ -232,12 +239,79 @@ def build_problem(kind, nx: int, ny: int, T: Optional[float], M: int,
                   q: str, c: str) -> tuple:
     """(kind, grid, ops, tg) of one problem: the parsed kind, the grid, the
     operators assembled with coefficient specs q and c, and the time grid.
-    T = None picks the kind's default final time."""
+    T = None picks the kind's default final time.
+
+    Memoized per process on these arguments (with T resolved) for the last
+    few problems, so equal problems share one grid, one ``ops`` (and the
+    time-step factorizations cached on it) and one ``tg``; their arrays are
+    read-only."""
     kind = ProblemKind.parse(kind)
+    return _problem(kind, nx, ny, T if T is not None else DEFAULT_T[kind], M, q, c)
+
+
+@functools.lru_cache(maxsize=4)
+def _problem(kind: ProblemKind, nx: int, ny: int, T: float, M: int,
+             q: str, c: str) -> tuple:
     grid = build_grid(nx, ny)
     coeffs = CoefficientSet(q=parse_coefficient(q), c=parse_coefficient(c))
     ops = assemble_operators(grid, coeffs)
-    return kind, grid, ops, TimeGrid(T=T if T is not None else DEFAULT_T[kind], M=M)
+    _read_only(grid.xs, grid.ys, grid.coords, grid.triangles, grid.boundary,
+               grid.interior, *(getattr(matrix, part) for matrix in (ops.mass, ops.stiffness)
+                                for part in ("data", "indices", "indptr")))
+    return kind, grid, ops, TimeGrid(T=T, M=M)
+
+
+def _read_only(*arrays) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
+def _pod_size(cfg: ExperimentConfig) -> dict:
+    return {"energy_tol": cfg.energy} if cfg.energy is not None \
+        else {"n_modes": cfg.n_pod}
+
+
+# truth-stage key -> (truth, final state, solve seconds, inverse-crime basis);
+# at most one entry
+_TRUTH_MEMO: dict = {}
+
+
+def _truth_stage(cfg: ExperimentConfig, kind: ProblemKind, grid: Grid2D, ops,
+                 tg: TimeGrid) -> Tuple[np.ndarray, np.ndarray, float, PodBasis, bool]:
+    """(truth, final state, wall time of the forward solve, inverse-crime
+    basis, reused): what a run derives from the truth alone, identical for
+    every noise level, seed, detector layout and inversion setting.
+
+    Kept for the most recent key (the problem key plus truth, max_snapshots,
+    n_pod and energy); its arrays are read-only.  Of the trajectory only the
+    final state is kept: the inverse-crime basis holds what later stages
+    need of the rest.  ``reused`` is True on a hit, and the solve time is
+    then the one measured when it was built.  Failures are tagged with the
+    stage that raised.
+    """
+    key = (kind, cfg.nx, cfg.ny, tg.T, cfg.M, cfg.q, cfg.c,
+           cfg.truth, cfg.max_snapshots, cfg.n_pod, cfg.energy)
+    held = _TRUTH_MEMO.get(key)
+    if held is not None:
+        return (*held, True)
+    _TRUTH_MEMO.clear()     # one entry at most, also while the next is built
+    stage = "truth"
+    try:
+        truth = make_shape(cfg.truth, grid)
+        stage = "forward"
+        t0 = time.perf_counter()
+        traj = drive(kind, truth, ops, tg)
+        solve_s = time.perf_counter() - t0
+        stage = "basis"
+        traditional = build_traditional_pod(kind, traj, ops,
+                                            max_snapshots=cfg.max_snapshots,
+                                            **_pod_size(cfg))
+    except Exception as exc:
+        raise StageError(stage, exc) from exc
+    final = traj.final.copy()
+    _read_only(truth, final, traditional.psi, traditional.eigenvalues)
+    _TRUTH_MEMO[key] = (truth, final, solve_s, traditional)
+    return truth, final, solve_s, traditional, False
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
@@ -248,16 +322,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
     try:
         kind, grid, ops, tg = build_problem(cfg.kind, cfg.nx, cfg.ny, cfg.T, cfg.M,
                                             cfg.q, cfg.c)
+        truth, u_final, full_solve_s, traditional, forward_reused = _truth_stage(
+            cfg, kind, grid, ops, tg)
 
         stage = "truth"
-        truth = make_shape(cfg.truth, grid)
         serialize.write_field_csv(os.path.join(out, "truth.csv"), grid, truth)
 
         stage = "forward"
-        t0 = time.perf_counter()
-        traj = drive(kind, truth, ops, tg)
-        full_solve_s = time.perf_counter() - t0
-        u_final = traj.final
         serialize.write_field_csv(os.path.join(out, "final_state.csv"), grid, u_final)
 
         stage = "measure"
@@ -294,10 +365,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
         denoise_info["alpha"] = alpha_used
 
         stage = "basis"
-        selector = {"energy_tol": cfg.energy} if cfg.energy is not None \
-            else {"n_modes": cfg.n_pod}
-        traditional = build_traditional_pod(kind, traj, ops,
-                                            max_snapshots=cfg.max_snapshots, **selector)
+        selector = _pod_size(cfg)
         if cfg.basis == "adjoint":
             basis = build_adjoint_pod(kind, m_field, ops, tg,
                                       max_snapshots=cfg.max_snapshots, **selector)
@@ -367,6 +435,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
             },
             "timings": {
                 "full_solve_s": full_solve_s,
+                "forward_reused": forward_reused,
                 "reduced_solve_s": reduced_solve_s,
                 "speedup": full_solve_s / reduced_solve_s if reduced_solve_s > 0
                            else np.inf,
@@ -467,16 +536,23 @@ def _example_basis_comparison(base, out_root, kind, smooth_truth, glyph_truth,
 
 def _example_noise_robustness(base, out_root, kind, truth):
     """Recovery under increasing measurement noise with auto-selected
-    denoising; asserts qualitative success (finite errors)."""
+    denoising; asserts what acceptance criterion 8 asserts of its medians:
+    finite errors, at most 1 at 50% noise, and no larger at 10% than at
+    50%."""
     errors = {}
     for p in NOISE_PRESETS:
         tag = f"noise_{int(round(100 * p)):02d}"
         metrics = _run(base, out_root, tag, kind=kind, truth=truth,
                        basis="adjoint", noise=p, lam="auto")
         errors[f"{p:.2f}"] = _recovery_error(metrics)
+    low, high = errors["0.10"], errors["0.50"]
     checks = [
         _check("recovery errors finite at every noise level",
                all(np.isfinite(v) for v in errors.values()), errors),
+        _check("recovery error at 50% noise at most 1",
+               high <= 1.0, {"error": high, "tolerance": 1.0}),
+        _check("recovery error at 10% noise at most the error at 50%",
+               low <= high, {"10%": low, "50%": high}),
     ]
     return {"checks": checks, "errors": errors}
 
@@ -490,8 +566,7 @@ def _example_cross_basis(base, out_root):
 
     kind, grid, ops, tg = build_problem(cfg.kind, cfg.nx, cfg.ny, cfg.T, cfg.M,
                                         cfg.q, cfg.c)
-    truth = make_shape(cfg.truth, grid)
-    m = drive(kind, truth, ops, tg).final    # zero on the boundary by construction
+    truth, m, *_ = _truth_stage(cfg, kind, grid, ops, tg)   # m is zero on the boundary
 
     source_tg = TimeGrid(T=DEFAULT_T[ProblemKind.INVERSE_SOURCE], M=cfg.M)
     basis = build_adjoint_pod(ProblemKind.INVERSE_SOURCE, m, ops, source_tg,

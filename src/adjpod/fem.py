@@ -7,12 +7,13 @@ boundary values by the implicit Euler scheme
 
     (mass + dt * stiffness) U_k = mass * U_{k-1} + dt * mass * f,
 
-with a single sparse factorization reused across all time steps.
+with one sparse factorization per (operators, dt), kept on the operators
+and reused by every solve with that step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -28,6 +29,7 @@ _PHI_MID = np.array([[0.5, 0.5, 0.0],
                      [0.5, 0.0, 0.5]])
 
 _BOUNDARY_TOL = 1e-9
+_STEPPERS_KEPT = 4     # time steps whose factorizations one operators object keeps
 
 CoefficientFn = Union[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
@@ -77,11 +79,17 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperators:
-    """Assembled mass/stiffness pair with the Dirichlet bookkeeping."""
+    """Assembled mass/stiffness pair with the Dirichlet bookkeeping.
+
+    ``mass`` and ``stiffness`` must not be changed after the first solve:
+    the time-step factorizations cached on the operators depend on them.
+    """
 
     grid: Grid2D
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
+    # dt -> (splu of interior mass + dt * stiffness, interior mass), oldest first
+    _steppers: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def boundary(self) -> np.ndarray:
@@ -187,6 +195,24 @@ def conform_dirichlet(grid: Grid2D, values: np.ndarray, what: str = "field") -> 
     return out
 
 
+def _stepper(ops: DiscreteOperators, dt: float):
+    """(splu of the interior mass + dt * stiffness, interior mass), built on
+    the first solve with this dt and kept on ``ops`` for the last
+    ``_STEPPERS_KEPT`` step sizes."""
+    cached = ops._steppers.get(dt)
+    if cached is None:
+        if len(ops._steppers) >= _STEPPERS_KEPT:
+            del ops._steppers[next(iter(ops._steppers))]
+        idx = ops.interior
+        system = (ops.mass + dt * ops.stiffness)[np.ix_(idx, idx)].tocsc()
+        try:
+            lu = splu(system)
+        except RuntimeError as exc:  # pragma: no cover - impossible under invariants
+            raise RuntimeError(f"internal error: time-step system is singular ({exc})")
+        cached = ops._steppers[dt] = (lu, ops.mass[np.ix_(idx, idx)].tocsr())
+    return cached
+
+
 def solve_forward(ops: DiscreteOperators, tg: TimeGrid,
                   f: np.ndarray, g: np.ndarray) -> Trajectory:
     """Backward-Euler trajectory of u_t + L u = f, u(0) = g, u = 0 on the boundary.
@@ -196,8 +222,8 @@ def solve_forward(ops: DiscreteOperators, tg: TimeGrid,
     ops : DiscreteOperators
         Assembled operators on the target grid.
     tg : TimeGrid
-        Time discretization; the system matrix is factorized once and
-        reused for all M steps.
+        Time discretization; the system matrix is factorized once per
+        (ops, dt) and reused for all M steps and all later solves.
     f, g : ndarray
         Nodal source term and initial state; both must vanish on the
         boundary (roundoff-level residues are projected to zero).
@@ -208,13 +234,7 @@ def solve_forward(ops: DiscreteOperators, tg: TimeGrid,
 
     idx = ops.interior
     dt = tg.dt
-    system = (ops.mass + dt * ops.stiffness)[np.ix_(idx, idx)].tocsc()
-    try:
-        lu = splu(system)
-    except RuntimeError as exc:  # pragma: no cover - impossible under invariants
-        raise RuntimeError(f"internal error: time-step system is singular ({exc})")
-
-    mass_ii = ops.mass[np.ix_(idx, idx)].tocsr()
+    lu, mass_ii = _stepper(ops, dt)
     load = dt * (ops.mass @ f)[idx]
 
     states = np.zeros((tg.M + 1, grid.n_nodes))

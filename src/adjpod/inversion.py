@@ -13,6 +13,7 @@ f = Q (w / (w^2 + lambda)) Q^T m and each descent step is diagonal.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,6 +51,13 @@ def _quasi_uniformity(detectors: np.ndarray) -> Optional[float]:
     """Fill-to-separation ratio d_max/d_min, probed on a fixed lattice."""
     if detectors.shape[0] < 2:
         return None
+    return _quasi_uniformity_of(detectors.shape[0], detectors.tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _quasi_uniformity_of(n: int, coords: bytes) -> Optional[float]:
+    """The KD-tree probe, memoized on the detector coordinates' bytes."""
+    detectors = np.frombuffer(coords).reshape(n, 2)
     tree = cKDTree(detectors)
     side = np.linspace(0.0, np.pi, 101)
     X, Y = np.meshgrid(side, side, indexing="xy")
@@ -62,12 +70,14 @@ def _quasi_uniformity(detectors: np.ndarray) -> Optional[float]:
 def add_noise(detectors: np.ndarray, clean: np.ndarray, p: float,
               seed: Optional[int] = None) -> MeasurementSet:
     """Perturb clean readings by sigma * N(0,1) with sigma = p * max|clean|."""
-    if p < 0:
-        raise ValueError(f"noise level must be >= 0, got {p}")
+    if not (np.isfinite(p) and p >= 0):
+        raise ValueError(f"noise level must be finite and >= 0, got {p}")
     detectors = np.asarray(detectors, dtype=float).reshape(-1, 2)
     clean = np.asarray(clean, dtype=float)
     if clean.shape != (detectors.shape[0],):
         raise ValueError("one reading per detector required")
+    _finite(clean, "clean readings")
+    _finite(detectors, "detector coordinates")
     sigma = float(p * np.max(np.abs(clean))) if clean.size else 0.0
     readings = clean.copy()
     if sigma > 0:
@@ -94,14 +104,13 @@ def snap_detectors_to_nodes(grid: Grid2D, detectors: np.ndarray) -> np.ndarray:
 def laplacian_stencil(grid: Grid2D) -> sp.csr_matrix:
     """Five-point Laplacian rows at interior nodes (one row per interior node)."""
     n = grid.n_nodes
-    rows, cols, vals = [], [], []
+    node = grid.interior[:, None]
+    cols = node + np.array([0, -1, 1, -grid.nx, grid.nx])
     ax = 1.0 / grid.hx ** 2
     ay = 1.0 / grid.hy ** 2
-    for r, node in enumerate(grid.interior):
-        rows.extend([r] * 5)
-        cols.extend([node, node - 1, node + 1, node - grid.nx, node + grid.nx])
-        vals.extend([-2.0 * (ax + ay), ax, ax, ay, ay])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(len(grid.interior), n)).tocsr()
+    vals = np.tile([-2.0 * (ax + ay), ax, ax, ay, ay], node.size)
+    rows = np.repeat(np.arange(node.size), 5)
+    return sp.coo_matrix((vals, (rows, cols.ravel())), shape=(node.size, n)).tocsr()
 
 
 def denoise(ms: MeasurementSet, grid: Grid2D, alpha: float) -> np.ndarray:
@@ -166,8 +175,11 @@ def _check_lam(lam: float) -> None:
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} must be finite, got {values}")
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        where = tuple(int(i) for i in bad[0])
+        raise ValueError(f"{what} must be finite, got {values[where]} at index "
+                         f"{where[0] if len(where) == 1 else where}")
     return values
 
 

@@ -20,36 +20,46 @@ from .pod import PodBasis
 _FMT = "%.17g"
 
 
-def _row(values) -> str:
-    return ",".join(_FMT % v for v in values)
+def _table(matrix: np.ndarray) -> str:
+    """Rows of comma-separated values, newline-separated, no trailing
+    newline; one ``%`` operation for the whole table."""
+    rows, cols = matrix.shape
+    return "\n".join([",".join([_FMT] * cols)] * rows) % tuple(matrix.ravel().tolist())
 
 
-def _parse_row(line: str) -> np.ndarray:
-    return np.array([float(tok) for tok in line.split(",")])
+def _content_lines(path):
+    """(line number, stripped text) of the non-blank lines of a file."""
+    with open(path) as fh:
+        return [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
+
+
+def _parse_row(path, no: int, line: str) -> np.ndarray:
+    row = np.array([float(tok) for tok in line.split(",")])
+    if not np.all(np.isfinite(row)):
+        bad = row[~np.isfinite(row)][0]
+        raise ValueError(f"{path}:{no}: non-finite value {bad}")
+    return row
 
 
 def write_field_csv(path, grid: Grid2D, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n_nodes,):
         raise ValueError("field length does not match node count")
-    lines = ["nx,ny,h", f"{grid.nx},{grid.ny},{_FMT % grid.h}"]
-    table = values.reshape(grid.ny, grid.nx)
-    lines.extend(_row(row) for row in table)
+    header = f"nx,ny,h\n{grid.nx},{grid.ny},{_FMT % grid.h}\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + _table(values.reshape(grid.ny, grid.nx)) + "\n")
 
 
 def read_field_csv(path) -> Tuple[Grid2D, np.ndarray]:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "nx,ny,h":
+    lines = _content_lines(path)
+    if not lines or lines[0][1] != "nx,ny,h":
         raise ValueError(f"{path}: missing 'nx,ny,h' header line")
-    nx_s, ny_s, h_s = lines[1].split(",")
+    nx_s, ny_s, h_s = lines[1][1].split(",")
     nx, ny, h = int(nx_s), int(ny_s), float(h_s)
     grid = build_grid(nx, ny)
     if not np.isclose(h, grid.h, rtol=1e-12):
         raise ValueError(f"{path}: header spacing {h} inconsistent with nx={nx}")
-    rows = [_parse_row(ln) for ln in lines[2:]]
+    rows = [_parse_row(path, no, ln) for no, ln in lines[2:]]
     if len(rows) != ny or any(r.size != nx for r in rows):
         raise ValueError(f"{path}: expected {ny} rows of {nx} values")
     return grid, np.concatenate(rows)
@@ -58,13 +68,11 @@ def read_field_csv(path) -> Tuple[Grid2D, np.ndarray]:
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     with open(path, "w") as fh:
-        fh.write("\n".join(_row(row) for row in matrix) + "\n")
+        fh.write(_table(matrix) + "\n")
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    with open(path) as fh:
-        rows = [_parse_row(ln.strip()) for ln in fh if ln.strip()]
-    return np.vstack(rows)
+    return np.vstack([_parse_row(path, no, ln) for no, ln in _content_lines(path)])
 
 
 def _jsonable(obj):
@@ -122,17 +130,14 @@ def write_reduced_model(dirpath, model) -> None:
 
 
 def write_measurements_csv(path, ms) -> None:
-    lines = ["x,y,reading"]
-    for (x, y), r in zip(ms.detectors, ms.readings):
-        lines.append(f"{_FMT % x},{_FMT % y},{_FMT % r}")
+    body = _table(np.column_stack([ms.detectors, ms.readings]))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("x,y,reading\n" + (body + "\n" if body else ""))
 
 
 def read_measurements_csv(path) -> Tuple[np.ndarray, np.ndarray]:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "x,y,reading":
+    lines = _content_lines(path)
+    if not lines or lines[0][1] != "x,y,reading":
         raise ValueError(f"{path}: missing 'x,y,reading' header")
-    data = np.array([_parse_row(ln) for ln in lines[1:]])
+    data = np.array([_parse_row(path, no, ln) for no, ln in lines[1:]])
     return data[:, :2], data[:, 2]

@@ -11,6 +11,8 @@ is the independent oracle the finite-element solvers are tested against.
 from __future__ import annotations
 
 import enum
+import functools
+import weakref
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -59,12 +61,17 @@ def laplace_eigenpair(j: int, k: int, grid: Grid2D) -> Tuple[float, np.ndarray]:
 
 def mode_table(L: int) -> list:
     """First L mode index pairs ordered by increasing mu, ties by (j, k)."""
+    return list(_mode_pairs(L))
+
+
+@functools.lru_cache(maxsize=8)
+def _mode_pairs(L: int) -> tuple:
     if L < 1:
         raise ValueError("need at least one mode")
     r = L + 1
     pairs = [(j, k) for j in range(1, r + 1) for k in range(1, r + 1)]
     pairs.sort(key=lambda jk: (eigenvalue(*jk), jk))
-    return pairs[:L]
+    return tuple(pairs[:L])
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,16 +142,43 @@ def spectral_solution(kind: ProblemKind, coeffs: SpectralCoefficients,
     return SpectralCoefficients(modes=coeffs.modes, values=coeffs.values * alpha)
 
 
+# grid -> (sin(j x) rows over grid.xs, sin(k y) rows over grid.ys), j, k = 1..n
+_SINE_TABLES = weakref.WeakKeyDictionary()
+
+
+def _sine_rows(axis: np.ndarray, n: int) -> np.ndarray:
+    """sin(j * axis) for j = 1..n, zero at both ends of the axis."""
+    rows = np.sin(np.arange(1, n + 1)[:, None] * axis[None, :])
+    rows[:, [0, -1]] = 0.0
+    return rows
+
+
+def _sine_tables(grid: Grid2D, n: int):
+    """The separable factors of phi_jk on the grid, tabulated once per grid
+    (and again only if a later call needs more than n rows)."""
+    tables = _SINE_TABLES.get(grid)
+    if tables is None or tables[0].shape[0] < n:
+        tables = (_sine_rows(grid.xs, n), _sine_rows(grid.ys, n))
+        _SINE_TABLES[grid] = tables
+    return tables
+
+
 def project_onto_modes(values: np.ndarray, ops: DiscreteOperators,
                        L: int) -> SpectralCoefficients:
-    """Mass-weighted coefficients (field, phi_jk) for the first L modes."""
-    modes = tuple(mode_table(L))
-    weighted = ops.mass @ np.asarray(values, dtype=float)
-    coeffs = np.empty(L)
-    for i, (j, k) in enumerate(modes):
-        _, phi = laplace_eigenpair(j, k, ops.grid)
-        coeffs[i] = phi @ weighted
-    return SpectralCoefficients(modes=modes, values=coeffs)
+    """Mass-weighted coefficients (field, phi_jk) for the first L modes.
+
+    phi_jk(x_a, y_b) = (2/pi) sin(j x_a) sin(k y_b) is separable, so the
+    coefficients are (2/pi) (Sy W Sx^T)[k, j] with W the weighted field
+    as an ny x nx table.
+    """
+    modes = _mode_pairs(L)
+    grid = ops.grid
+    weighted = (ops.mass @ np.asarray(values, dtype=float)).reshape(grid.ny, grid.nx)
+    js, ks = np.array(modes).T
+    sin_x, sin_y = _sine_tables(grid, int(max(js.max(), ks.max())))
+    # only the rows this L needs, so the sums do not depend on earlier calls
+    table = (sin_y[: ks.max()] @ weighted) @ sin_x[: js.max()].T
+    return SpectralCoefficients(modes=modes, values=(2.0 / np.pi) * table[ks - 1, js - 1])
 
 
 def distinct_mu_subset(coeffs: SpectralCoefficients, L: int,

@@ -238,9 +238,13 @@ def solve_forward(ops: DiscreteOperators, tg: TimeGrid,
     load = dt * (ops.mass @ f)[idx]
 
     states = np.zeros((tg.M + 1, grid.n_nodes))
+    # grid.interior is the row-major block [1:-1, 1:-1] of the (ny, nx) node
+    # array, so a state's interior values are written through this view
+    inner = states.reshape(tg.M + 1, grid.ny, grid.nx)[:, 1:-1, 1:-1]
+    block = (grid.ny - 2, grid.nx - 2)
     u = g[idx].copy()
-    states[0, idx] = u
+    inner[0] = u.reshape(block)
     for k in range(1, tg.M + 1):
         u = lu.solve(mass_ii @ u + load)
-        states[k, idx] = u
+        inner[k] = u.reshape(block)
     return Trajectory(tg=tg, states=states)

@@ -14,6 +14,7 @@ f = Q (w / (w^2 + lambda)) Q^T m and each descent step is diagonal.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -121,25 +122,45 @@ def denoise(ms: MeasurementSet, grid: Grid2D, alpha: float) -> np.ndarray:
     imposes the known homogeneous boundary values, which makes the
     interior normal system positive-definite for alpha > 0 (a discrete
     harmonic function vanishing on the boundary is zero); readings at
-    boundary detectors therefore do not influence the fit.
+    boundary detectors therefore do not influence the fit.  The
+    factorization is kept for the most recent grid shape, detector layout
+    and alpha, so readings that differ only in their values reuse it.
     """
     if not alpha > 0:
         raise ValueError(f"denoising weight alpha must be positive, got {alpha}")
     nodes = snap_detectors_to_nodes(grid, ms.detectors)
-    n = ms.n
-    N = grid.n_nodes
-    P = sp.coo_matrix((np.ones(n), (np.arange(n), nodes)), shape=(n, N)).tocsr()
+    P, lu = _denoise_factors(grid, nodes, alpha)
+    idx = grid.interior
+    u = np.zeros(grid.n_nodes)
+    u[idx] = lu.solve((P.T @ ms.readings / ms.n)[idx])
+    return u
+
+
+# (nx, ny, detector node bytes, alpha) -> (P, LU of the interior normal
+# matrix); at most one entry, since one LU takes megabytes on a fine grid
+_DENOISE_MEMO: dict = {}
+
+
+def _denoise_factors(grid: Grid2D, nodes: np.ndarray, alpha: float):
+    """(sampling matrix P, splu of the interior normal matrix) of ``denoise``,
+    kept for the most recent grid shape, detector layout and alpha."""
+    key = (grid.nx, grid.ny, nodes.tobytes(), alpha)
+    held = _DENOISE_MEMO.get(key)
+    if held is not None:
+        return held
+    _DENOISE_MEMO.clear()
+    n = nodes.size
+    P = sp.coo_matrix((np.ones(n), (np.arange(n), nodes)), shape=(n, grid.n_nodes)).tocsr()
     B = laplacian_stencil(grid)
     cell = grid.hx * grid.hy
     H = (P.T @ P) / n + (alpha * cell) * (B.T @ B)
-    rhs = P.T @ ms.readings / n
     idx = grid.interior
-    u = np.zeros(N)
     try:
-        u[idx] = splu(H[np.ix_(idx, idx)].tocsc()).solve(rhs[idx])
+        lu = splu(H[np.ix_(idx, idx)].tocsc())
     except RuntimeError as exc:  # pragma: no cover - PD by construction
         raise RuntimeError(f"internal error: denoise system not solvable ({exc})")
-    return u
+    _DENOISE_MEMO[key] = (P, lu)
+    return P, lu
 
 
 def select_alpha(sigma: float, n: int, h2_norm_estimate: float) -> float:
@@ -236,7 +257,8 @@ def tikhonov_gradient_descent_reduced(model: ReducedModel, m_r: np.ndarray,
 
     The iteration runs on the eigen-coordinates z = Q^T f, where the step
     f <- f - beta grad J is diagonal; the gradient norm, J and hence the
-    stopping rule are the same as in the original coordinates.
+    stopping rule are the same as in the original coordinates.  The loop
+    only steps; J is evaluated on the recorded iterates once it ends.
     """
     w, Q = model.spectrum
     bound = descent_step_bound(model, cfg.lam)
@@ -254,17 +276,23 @@ def tikhonov_gradient_descent_reduced(model: ReducedModel, m_r: np.ndarray,
     z = Q.T @ f
     n = Q.T @ m_r
     curvature = w * w + cfg.lam
-    grad = curvature * z - w * n
+    wn = w * n
+    grad = curvature * z - wn
     tol = cfg.grad_tol if cfg.grad_tol is not None \
         else 1e-10 * (float(np.linalg.norm(grad)) + 1.0)
-    history = [tikhonov_objective(model, f, m_r, cfg.lam)]
+    iterates = [z]
     for _ in range(cfg.max_iters):
-        if np.linalg.norm(grad) <= tol:
+        if math.sqrt(grad.dot(grad)) <= tol:     # np.linalg.norm(grad), bit for bit
             break
         z = z - beta * grad
-        history.append(tikhonov_objective(model, Q @ z, m_r, cfg.lam))
-        grad = curvature * z - w * n
-    return Q @ z, np.asarray(history)
+        iterates.append(z)
+        grad = curvature * z - wn
+    # J is invariant under the orthogonal Q, so the history is evaluated
+    # once, on all iterates together, in the eigen-coordinates
+    Z = np.array(iterates)
+    r = w * Z - n
+    history = 0.5 * (np.sum(r * r, axis=1) + cfg.lam * np.sum(Z * Z, axis=1))
+    return Q @ z, history
 
 
 def tikhonov_gradient_descent(model: ReducedModel, m: np.ndarray,

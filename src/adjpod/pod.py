@@ -96,11 +96,13 @@ def collect_snapshots(traj: Trajectory, ops: DiscreteOperators,
         m_sub = (max_snapshots - 1) // 2
         idx = np.rint(np.linspace(0, m_full, m_sub + 1)).astype(int)
     times = traj.tg.times[idx]
-    states = traj.states[idx]
-    gaps = np.diff(times)
-    quotients = np.diff(states, axis=0) / gaps[:, None]
-    return SnapshotSet(snapshots=np.vstack([states, quotients]), ops=ops,
-                       m_steps=len(idx) - 1, times=times)
+    m = len(idx) - 1
+    snapshots = np.empty((2 * m + 1, traj.states.shape[1]))
+    states, quotients = snapshots[:m + 1], snapshots[m + 1:]
+    np.take(traj.states, idx, axis=0, out=states)
+    np.subtract(states[1:], states[:-1], out=quotients)
+    quotients /= np.diff(times)[:, None]
+    return SnapshotSet(snapshots=snapshots, ops=ops, m_steps=m, times=times)
 
 
 def _as_matrix(snapshots) -> np.ndarray:

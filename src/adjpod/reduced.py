@@ -60,8 +60,10 @@ def build_adjoint_pod(kind: ProblemKind, m: np.ndarray, ops: DiscreteOperators,
     kind = ProblemKind.parse(kind)
     if not np.any(np.asarray(m) != 0.0):
         raise ValueError("measurement field is identically zero: no snapshot energy")
-    traj = solve_adjoint(kind, m, ops, tg)
-    snaps = collect_snapshots(traj, ops, max_snapshots=max_snapshots)
+    # no name holds the auxiliary trajectory: it is freed once its
+    # snapshots are collected, before POD runs
+    snaps = collect_snapshots(solve_adjoint(kind, m, ops, tg), ops,
+                              max_snapshots=max_snapshots)
     provenance = {
         "equation": "data-driven auxiliary parabolic solve",
         "kind": kind.value,
@@ -155,7 +157,9 @@ def reduced_solve(model: ReducedModel, input_values: np.ndarray):
     n = model.n_pod
     dt = model.tg.dt
     step_matrix = np.eye(n) + dt * model.a_r
-    factor = scipy.linalg.cho_factor(step_matrix)
+    factor, lower = scipy.linalg.cho_factor(step_matrix)
+    # the LAPACK routine behind cho_solve, without its per-call validation
+    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (factor,))
 
     coeffs = np.zeros((model.tg.M + 1, n))
     reduced_input = model.basis.coefficients(input_values)
@@ -167,7 +171,9 @@ def reduced_solve(model: ReducedModel, input_values: np.ndarray):
         forcing = np.zeros(n)
     coeffs[0] = c
     for k in range(1, model.tg.M + 1):
-        c = scipy.linalg.cho_solve(factor, c + forcing)
+        c, info = potrs(factor, c + forcing, lower=lower, overwrite_b=True)
+        if info != 0:  # pragma: no cover - arguments are valid by construction
+            raise RuntimeError(f"internal error: potrs failed (info {info})")
         coeffs[k] = c
     return model.basis.expand(coeffs[-1]), coeffs
 

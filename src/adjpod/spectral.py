@@ -68,10 +68,10 @@ def mode_table(L: int) -> list:
 def _mode_pairs(L: int) -> tuple:
     if L < 1:
         raise ValueError("need at least one mode")
-    r = L + 1
-    pairs = [(j, k) for j in range(1, r + 1) for k in range(1, r + 1)]
-    pairs.sort(key=lambda jk: (eigenvalue(*jk), jk))
-    return tuple(pairs[:L])
+    side = np.arange(1, L + 2)
+    j, k = np.repeat(side, L + 1), np.tile(side, L + 1)
+    first = np.lexsort((k, j, j * j + k * k))[:L]     # by mu, ties by (j, k)
+    return tuple(zip(j[first].tolist(), k[first].tolist()))
 
 
 @dataclass(frozen=True, eq=False)

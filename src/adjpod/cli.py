@@ -20,12 +20,11 @@ import numpy as np
 
 from . import inversion, serialize
 from .experiment import (DEFAULT_T, DESK_M, DESK_NX, EXAMPLE_LABELS, FULL_M,
-                         FULL_NX, ExperimentConfig, StageError, build_problem,
-                         load_config, run_example, run_experiment)
-from .grid import build_grid
+                         FULL_NX, ExperimentConfig, StageError, _pod_size,
+                         build_problem, load_config, run_example, run_experiment)
 from .reduced import build_adjoint_pod, drive
 from .shapes import list_shapes, make_shape
-from .spectral import ProblemKind
+from .spectral import ProblemKind, SpectralCoefficients, distinct_mu_subset, mode_table
 from .verify import build_theory_matrices, verify_pod_bound, verify_span_equality
 
 _PASS = "PASS"
@@ -108,12 +107,8 @@ def _cmd_forward(args) -> int:
 def _cmd_adjoint_pod(args) -> int:
     kind, grid, ops, tg = _grid_time_from(args)
     data = _field_from(args.data, grid, "measurement field")
-    data = data.copy()
-    data[grid.boundary] = 0.0
-    selector = ({"energy_tol": args.energy} if args.energy is not None
-                else {"n_modes": args.n_pod})
-    basis = build_adjoint_pod(kind, data, ops, tg,
-                              max_snapshots=args.max_snapshots, **selector)
+    basis = build_adjoint_pod(kind, data, ops, tg, max_snapshots=args.max_snapshots,
+                              **_pod_size(args.n_pod, args.energy))
     os.makedirs(args.out, exist_ok=True)
     serialize.write_pod_basis(os.path.join(args.out, "basis"), basis)
     serialize.write_json(os.path.join(args.out, "adjoint_pod.json"), {
@@ -190,36 +185,29 @@ def _cmd_invert(args) -> int:
 # verify-theory
 # --------------------------------------------------------------------------
 
-def _theory_coeffs(profile: str, mus: np.ndarray) -> np.ndarray:
-    if profile == "flat":
-        return np.ones(mus.size)
-    if profile == "eigenvalue":
-        return mus.astype(float)
-    raise ValueError(f"unknown coefficient profile {profile!r}")
-
-
 def _cmd_verify_theory(args) -> int:
-    from .spectral import SpectralCoefficients, distinct_mu_subset, mode_table
-
     kinds = ([ProblemKind.INVERSE_SOURCE, ProblemKind.BACKWARD]
              if args.kind == "both" else [ProblemKind.parse(args.kind)])
     levels = [int(tok) for tok in args.levels.split(",")]
-    grid = build_grid(args.nx if args.nx is not None else DESK_NX,
-                      args.ny if args.ny is not None else DESK_NX)
+    # the analytic oracle problem (q = 1, c = 0); kind and time grid go unused
+    _, grid, ops, _ = build_problem(
+        "source", args.nx if args.nx is not None else DESK_NX,
+        args.ny if args.ny is not None else DESK_NX, None, 1, "1.0", "0.0")
     all_ok = True
     records = []
     for kind in kinds:
         t_final = args.T if args.T is not None else DEFAULT_T[kind]
         for level in levels:
-            # Coefficients indexed against the distinct-eigenvalue table.
+            # Coefficients indexed against the distinct-eigenvalue table:
+            # amplitudes 1 (flat) or mu_k (eigenvalue).
             table = mode_table(2 * level + 8)
-            probe = SpectralCoefficients(table, np.ones(len(table)))
-            modes = distinct_mu_subset(probe, level, warn=False).modes
-            mus = np.array([float(j * j + k * k) for j, k in modes])
-            coeffs = SpectralCoefficients(modes, _theory_coeffs(args.profile, mus))
+            coeffs = distinct_mu_subset(SpectralCoefficients(table, np.ones(len(table))),
+                                        level, warn=False)
+            if args.profile == "eigenvalue":
+                coeffs = SpectralCoefficients(coeffs.modes, coeffs.mus)
             tm = build_theory_matrices(kind, level, level, t_final, coeffs, grid)
             span = verify_span_equality(tm)
-            bound = verify_pod_bound(kind, level, level, t_final, coeffs, grid)
+            bound = verify_pod_bound(kind, level, level, t_final, coeffs, grid, ops=ops)
             label = f"kind={kind.value} L=M={level}"
             all_ok &= _report(
                 f"span equality holds ({label})",
@@ -279,7 +267,6 @@ def _cmd_sweep(args) -> int:
     for path in args.configs:
         stem = os.path.splitext(os.path.basename(path))[0]
         jobs.append((path, overrides, os.path.join(args.out, stem)))
-    results = []
     if args.jobs == 1 or len(jobs) == 1:
         results = [_sweep_one(job) for job in jobs]
     else:

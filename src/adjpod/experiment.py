@@ -266,9 +266,9 @@ def _read_only(*arrays) -> None:
         array.flags.writeable = False
 
 
-def _pod_size(cfg: ExperimentConfig) -> dict:
-    return {"energy_tol": cfg.energy} if cfg.energy is not None \
-        else {"n_modes": cfg.n_pod}
+def _pod_size(n_pod: int, energy: Optional[float]) -> dict:
+    """Basis-size selector: the energy tolerance when set, else n_pod modes."""
+    return {"energy_tol": energy} if energy is not None else {"n_modes": n_pod}
 
 
 # truth-stage key -> (truth, final state, solve seconds, inverse-crime basis);
@@ -305,7 +305,7 @@ def _truth_stage(cfg: ExperimentConfig, kind: ProblemKind, grid: Grid2D, ops,
         stage = "basis"
         traditional = build_traditional_pod(kind, traj, ops,
                                             max_snapshots=cfg.max_snapshots,
-                                            **_pod_size(cfg))
+                                            **_pod_size(cfg.n_pod, cfg.energy))
     except Exception as exc:
         raise StageError(stage, exc) from exc
     final = traj.final.copy()
@@ -365,7 +365,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
         denoise_info["alpha"] = alpha_used
 
         stage = "basis"
-        selector = _pod_size(cfg)
+        selector = _pod_size(cfg.n_pod, cfg.energy)
         if cfg.basis == "adjoint":
             basis = build_adjoint_pod(kind, m_field, ops, tg,
                                       max_snapshots=cfg.max_snapshots, **selector)
@@ -572,8 +572,7 @@ def _example_cross_basis(base, out_root):
     basis = build_adjoint_pod(ProblemKind.INVERSE_SOURCE, m, ops, source_tg,
                               n_modes=cfg.n_pod, max_snapshots=cfg.max_snapshots)
     model = build_reduced_model(ops, basis, tg, kind)
-    f_r = inversion.tikhonov_direct_reduced(model, basis.coefficients(m), 1e-10)
-    recovered = basis.expand(f_r)
+    recovered = inversion.tikhonov_direct(model, m, 1e-10)
     serialize.write_field_csv(os.path.join(out_root, "cross_recovered.csv"),
                               grid, recovered)
 

@@ -10,7 +10,7 @@ from the node-dimension Gram matrix — so the cost is mesh independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -136,15 +136,13 @@ def _tail_ratio(lams: np.ndarray, n: int) -> float:
 
 def compute_pod_basis(snapshots, n_modes: Optional[int] = None,
                       energy_tol: Optional[float] = None,
-                      states_only: bool = False,
                       ops: Optional[DiscreteOperators] = None,
                       provenance: Optional[dict] = None) -> PodBasis:
     """Method-of-snapshots basis.
 
     Exactly one of ``n_modes`` (fixed count, clipped to the retained rank)
     and ``energy_tol`` (smallest count whose tail ratio is <= the
-    threshold) selects the basis size.  ``states_only`` drops the
-    difference quotients before building (ablation switch).
+    threshold) selects the basis size.
     """
     if (n_modes is None) == (energy_tol is None):
         raise ValueError("select the basis size with exactly one of n_modes / energy_tol")
@@ -155,11 +153,6 @@ def compute_pod_basis(snapshots, n_modes: Optional[int] = None,
 
     the_ops = _ops_of(snapshots, ops)
     Y = _as_matrix(snapshots)
-    if states_only:
-        if not isinstance(snapshots, SnapshotSet):
-            raise ValueError("states_only requires a SnapshotSet")
-        Y = snapshots.states
-
     K = correlation_matrix(Y, the_ops)
     lams, vecs = scipy.linalg.eigh(K)
     order = np.argsort(lams)[::-1]

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .fem import DiscreteOperators, TimeGrid, Trajectory, conform_dirichlet, solve_forward
-from .pod import PodBasis, collect_snapshots, compute_pod_basis
+from .pod import PodBasis, SnapshotSet, collect_snapshots, compute_pod_basis
 from .spectral import ProblemKind
 
 _ORTHO_TOL = 1e-10
@@ -54,48 +54,45 @@ def build_adjoint_pod(kind: ProblemKind, m: np.ndarray, ops: DiscreteOperators,
                       tg: TimeGrid, n_modes: Optional[int] = None,
                       energy_tol: Optional[float] = None,
                       max_snapshots: int = 201,
-                      states_only: bool = False,
                       driver_label: str = "measured-data") -> PodBasis:
     """Measurement-driven basis: auxiliary solve -> snapshots -> POD."""
-    kind = ProblemKind.parse(kind)
-    if not np.any(np.asarray(m) != 0.0):
+    # the auxiliary solve sees m on the interior only (see solve_adjoint)
+    if not np.any(np.asarray(m)[ops.interior] != 0.0):
         raise ValueError("measurement field is identically zero: no snapshot energy")
     # no name holds the auxiliary trajectory: it is freed once its
     # snapshots are collected, before POD runs
     snaps = collect_snapshots(solve_adjoint(kind, m, ops, tg), ops,
                               max_snapshots=max_snapshots)
-    provenance = {
-        "equation": "data-driven auxiliary parabolic solve",
-        "kind": kind.value,
-        "driver": driver_label,
-        "m_steps": snaps.m_steps,
-        "max_snapshots": max_snapshots,
-        "states_only": states_only,
-        "inverse_crime": False,
-    }
-    return compute_pod_basis(snaps, n_modes=n_modes, energy_tol=energy_tol,
-                             states_only=states_only, provenance=provenance)
+    return _pod_basis(kind, snaps, n_modes, energy_tol, max_snapshots,
+                      "data-driven auxiliary parabolic solve", driver_label,
+                      inverse_crime=False)
 
 
 def build_traditional_pod(kind: ProblemKind, truth_trajectory: Trajectory,
                           ops: DiscreteOperators, n_modes: Optional[int] = None,
                           energy_tol: Optional[float] = None,
-                          max_snapshots: int = 201,
-                          states_only: bool = False) -> PodBasis:
+                          max_snapshots: int = 201) -> PodBasis:
     """Truth-driven baseline basis (the inverse-crime comparison point)."""
-    kind = ProblemKind.parse(kind)
     snaps = collect_snapshots(truth_trajectory, ops, max_snapshots=max_snapshots)
+    return _pod_basis(kind, snaps, n_modes, energy_tol, max_snapshots,
+                      "forward solve of the true problem", "ground-truth data",
+                      inverse_crime=True)
+
+
+def _pod_basis(kind: ProblemKind, snaps: SnapshotSet, n_modes: Optional[int],
+               energy_tol: Optional[float], max_snapshots: int, equation: str,
+               driver: str, inverse_crime: bool) -> PodBasis:
+    """POD of one heat solve's snapshots, with the provenance naming its driver."""
     provenance = {
-        "equation": "forward solve of the true problem",
-        "kind": kind.value,
-        "driver": "ground-truth data",
+        "equation": equation,
+        "kind": ProblemKind.parse(kind).value,
+        "driver": driver,
         "m_steps": snaps.m_steps,
         "max_snapshots": max_snapshots,
-        "states_only": states_only,
-        "inverse_crime": True,
+        "inverse_crime": inverse_crime,
     }
     return compute_pod_basis(snaps, n_modes=n_modes, energy_tol=energy_tol,
-                             states_only=states_only, provenance=provenance)
+                             provenance=provenance)
 
 
 @dataclass(eq=False)

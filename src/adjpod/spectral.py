@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import weakref
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -142,25 +141,11 @@ def spectral_solution(kind: ProblemKind, coeffs: SpectralCoefficients,
     return SpectralCoefficients(modes=coeffs.modes, values=coeffs.values * alpha)
 
 
-# grid -> (sin(j x) rows over grid.xs, sin(k y) rows over grid.ys), j, k = 1..n
-_SINE_TABLES = weakref.WeakKeyDictionary()
-
-
 def _sine_rows(axis: np.ndarray, n: int) -> np.ndarray:
     """sin(j * axis) for j = 1..n, zero at both ends of the axis."""
     rows = np.sin(np.arange(1, n + 1)[:, None] * axis[None, :])
     rows[:, [0, -1]] = 0.0
     return rows
-
-
-def _sine_tables(grid: Grid2D, n: int):
-    """The separable factors of phi_jk on the grid, tabulated once per grid
-    (and again only if a later call needs more than n rows)."""
-    tables = _SINE_TABLES.get(grid)
-    if tables is None or tables[0].shape[0] < n:
-        tables = (_sine_rows(grid.xs, n), _sine_rows(grid.ys, n))
-        _SINE_TABLES[grid] = tables
-    return tables
 
 
 def project_onto_modes(values: np.ndarray, ops: DiscreteOperators,
@@ -175,9 +160,7 @@ def project_onto_modes(values: np.ndarray, ops: DiscreteOperators,
     grid = ops.grid
     weighted = (ops.mass @ np.asarray(values, dtype=float)).reshape(grid.ny, grid.nx)
     js, ks = np.array(modes).T
-    sin_x, sin_y = _sine_tables(grid, int(max(js.max(), ks.max())))
-    # only the rows this L needs, so the sums do not depend on earlier calls
-    table = (sin_y[: ks.max()] @ weighted) @ sin_x[: js.max()].T
+    table = (_sine_rows(grid.ys, ks.max()) @ weighted) @ _sine_rows(grid.xs, js.max()).T
     return SpectralCoefficients(modes=modes, values=(2.0 / np.pi) * table[ks - 1, js - 1])
 
 
@@ -189,11 +172,12 @@ def distinct_mu_subset(coeffs: SpectralCoefficients, L: int,
     distinct-eigenvalue hypothesis of the span-equality argument, so later
     duplicates are dropped (with a warning when ``warn``).
     """
-    order = sorted(range(coeffs.L), key=lambda i: (coeffs.mus[i], coeffs.modes[i]))
+    mus = coeffs.mus
+    order = sorted(range(coeffs.L), key=lambda i: (mus[i], coeffs.modes[i]))
     seen = set()
     picked = []
     for i in order:
-        mu = coeffs.mus[i]
+        mu = mus[i]
         if mu in seen:
             if warn:
                 import warnings

@@ -25,7 +25,7 @@ from .experiment import (DEFAULT_T, DESK_M, DESK_NX, EXAMPLE_LABELS, FULL_M,
 from .reduced import build_adjoint_pod, drive
 from .shapes import list_shapes, make_shape
 from .spectral import ProblemKind, SpectralCoefficients, distinct_mu_subset, mode_table
-from .verify import build_theory_matrices, verify_pod_bound, verify_span_equality
+from .verify import build_theory_matrices, pod_bound_report, verify_span_equality
 
 _PASS = "PASS"
 _FAIL = "FAIL"
@@ -130,9 +130,7 @@ def _cmd_adjoint_pod(args) -> int:
 
 def _cmd_denoise(args) -> int:
     # denoising is stationary: the kind and time grid go unused
-    _, grid, ops, _ = build_problem(
-        "source", args.nx if args.nx is not None else DESK_NX,
-        args.ny if args.ny is not None else DESK_NX, None, 1, args.q, args.c)
+    _, grid, ops, _ = build_problem("source", args.nx, args.ny, None, 1, args.q, args.c)
     detectors, readings = serialize.read_measurements_csv(args.measurements)
     ms = inversion.MeasurementSet(
         detectors=detectors, readings=readings,
@@ -190,9 +188,7 @@ def _cmd_verify_theory(args) -> int:
              if args.kind == "both" else [ProblemKind.parse(args.kind)])
     levels = [int(tok) for tok in args.levels.split(",")]
     # the analytic oracle problem (q = 1, c = 0); kind and time grid go unused
-    _, grid, ops, _ = build_problem(
-        "source", args.nx if args.nx is not None else DESK_NX,
-        args.ny if args.ny is not None else DESK_NX, None, 1, "1.0", "0.0")
+    _, grid, ops, _ = build_problem("source", args.nx, args.ny, None, 1, "1.0", "0.0")
     all_ok = True
     records = []
     for kind in kinds:
@@ -207,7 +203,7 @@ def _cmd_verify_theory(args) -> int:
                 coeffs = SpectralCoefficients(coeffs.modes, coeffs.mus)
             tm = build_theory_matrices(kind, level, level, t_final, coeffs, grid)
             span = verify_span_equality(tm)
-            bound = verify_pod_bound(kind, level, level, t_final, coeffs, grid, ops=ops)
+            bound = pod_bound_report(tm, ops)
             label = f"kind={kind.value} L=M={level}"
             all_ok &= _report(
                 f"span equality holds ({label})",
@@ -316,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("denoise", help="fit a smooth field to noisy detectors")
     p.add_argument("--measurements", required=True, help="detector CSV")
-    p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--ny", type=int, default=None)
+    p.add_argument("--nx", type=int, default=DESK_NX)
+    p.add_argument("--ny", type=int, default=DESK_NX)
     p.add_argument("--q", default="1.0")
     p.add_argument("--c", default="0.0")
     p.add_argument("--alpha", default="auto",
@@ -340,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", default="2,4,6",
                    help="comma-separated mode counts (L=M)")
     p.add_argument("--T", type=float, default=None)
-    p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--ny", type=int, default=None)
+    p.add_argument("--nx", type=int, default=DESK_NX)
+    p.add_argument("--ny", type=int, default=DESK_NX)
     p.add_argument("--profile", default="eigenvalue",
                    choices=["flat", "eigenvalue"],
                    help="modal coefficient profile for the analytic test "

@@ -349,7 +349,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
         stage = "denoise"
         denoise_info = {"skipped": cfg.noise == 0.0}
         if cfg.noise == 0.0:
-            m_field = u_final.copy()
+            m_field = u_final
             alpha_used = None
         else:
             if cfg.alpha == "auto":
@@ -361,7 +361,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
             denoise_info["rel_l2_error_vs_clean_state"] = relative_l2_error(
                 ops, m_field, u_final)
             serialize.write_field_csv(os.path.join(out, "denoised.csv"), grid, m_field)
-        m_field[grid.boundary] = 0.0
         denoise_info["alpha"] = alpha_used
 
         stage = "basis"

@@ -63,8 +63,8 @@ class TimeGrid:
     M: int
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError(f"final time must be positive, got {self.T}")
+        if not (np.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"final time must be finite and positive, got {self.T}")
         if self.M < 1:
             raise ValueError(f"need at least one time step, got M={self.M}")
 
@@ -153,6 +153,10 @@ def assemble_operators(grid: Grid2D, coeffs: CoefficientSet) -> DiscreteOperator
     mx, my = mids[:, :, 0], mids[:, :, 1]
     q_samples = coeffs.q_at(mx, my)
     c_samples = coeffs.c_at(mx, my)
+    for name, samples in (("diffusion coefficient q", q_samples),
+                          ("reaction coefficient c", c_samples)):
+        if not np.all(np.isfinite(samples)):
+            raise ValueError(f"{name} must be finite (found NaN or infinite values)")
     if np.any(q_samples <= 0):
         raise ValueError("diffusion coefficient q must be strictly positive everywhere")
     if np.any(c_samples < 0):

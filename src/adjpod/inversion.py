@@ -219,6 +219,10 @@ class InverseConfig:
         _check_lam(self.lam)
         if self.beta is not None and not (np.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"step size must be finite and positive, got {self.beta}")
+        if self.grad_tol is not None and not (np.isfinite(self.grad_tol)
+                                              and self.grad_tol >= 0):
+            raise ValueError(
+                f"gradient tolerance must be finite and >= 0, got {self.grad_tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.mode not in ("direct", "gradient"):

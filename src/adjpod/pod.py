@@ -148,8 +148,8 @@ def compute_pod_basis(snapshots, n_modes: Optional[int] = None,
         raise ValueError("select the basis size with exactly one of n_modes / energy_tol")
     if n_modes is not None and n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    if energy_tol is not None and energy_tol < 0:
-        raise ValueError("energy_tol must be >= 0")
+    if energy_tol is not None and not (np.isfinite(energy_tol) and energy_tol >= 0):
+        raise ValueError(f"energy_tol must be finite and >= 0, got {energy_tol}")
 
     the_ops = _ops_of(snapshots, ops)
     Y = _as_matrix(snapshots)
@@ -203,10 +203,11 @@ def projection_error_ratio(snapshots, basis: PodBasis):
     """
     Y = _as_matrix(snapshots)
     mass = basis.ops.mass
-    den = float(np.sum(Y * (mass @ Y.T).T))
+    MY = (mass @ Y.T).T
+    den = float(np.sum(Y * MY))
     if den <= 0:
         raise ValueError("snapshot set carries no energy")
-    C = (mass @ Y.T).T @ basis.psi            # (count, n_pod) coefficients
+    C = MY @ basis.psi                        # (count, n_pod) coefficients
     R = Y - C @ basis.psi.T
     num = float(np.sum(R * (mass @ R.T).T))
     return max(num, 0.0) / den, basis.rho

@@ -14,6 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
+from . import reduced
 from .grid import Grid2D, build_grid
 from .pod import PodBasis
 
@@ -115,11 +116,10 @@ def write_pod_basis(dirpath, basis: PodBasis) -> None:
 
 def write_reduced_model(dirpath, model) -> None:
     """Reduced operators as dense CSV next to a small manifest."""
-    from .reduced import spod_matrix  # local import avoids a cycle
-
     os.makedirs(dirpath, exist_ok=True)
     write_matrix_csv(os.path.join(dirpath, "reduced_stiffness.csv"), model.a_r)
-    write_matrix_csv(os.path.join(dirpath, "solution_operator.csv"), spod_matrix(model))
+    write_matrix_csv(os.path.join(dirpath, "solution_operator.csv"),
+                     reduced.spod_matrix(model))
     write_json(os.path.join(dirpath, "manifest.json"), {
         "kind": model.kind.value,
         "n_pod": model.n_pod,

@@ -21,7 +21,7 @@ import scipy.linalg
 
 from .fem import CoefficientSet, assemble_operators
 from .grid import Grid2D
-from .pod import compute_pod_basis
+from .pod import compute_pod_basis, projection_error_ratio
 from .spectral import (ProblemKind, SpectralCoefficients, adjoint_response_factor,
                        distinct_mu_subset, laplace_eigenpair)
 
@@ -124,61 +124,51 @@ def verify_pod_bound(kind: ProblemKind, L: int, M: int, T: float,
                      fcoeffs: SpectralCoefficients, grid: Grid2D,
                      n_pod: Optional[int] = None,
                      ops=None) -> dict:
+    """``pod_bound_report`` on the modal problem built from these arguments."""
+    if ops is None:
+        ops = assemble_operators(grid, CoefficientSet(q=1.0, c=0.0))
+    return pod_bound_report(build_theory_matrices(kind, L, M, T, fcoeffs, grid), ops, n_pod)
+
+
+def pod_bound_report(tm: TheoryMatrices, ops, n_pod: Optional[int] = None) -> dict:
     """Projection of the forward snapshots onto the data-driven basis.
 
-    Builds the POD basis from the columns of A-tilde, then measures
+    Builds the POD basis from the columns of A-tilde; for every basis size
+    n, ``projection_error_ratio`` of the forward snapshot columns a_i onto
+    its leading n modes gives
 
         lhs(n) = sum_i ||a_i - P_n a_i||^2 / sum_i ||a_i||^2
 
-    over the forward snapshot columns a_i for every basis size n, along
-    with the tail ratio rho(n) of the A-tilde correlation spectrum and
-    the implied constant lhs / (L^2 rho) (source kind, d = 2) or
-    lhs / (e^{2 mu_L T} rho) (backward kind).  The asserted consequence
-    of span equality is lhs <= 1e-6 at full retained rank.
+    and the A-tilde tail ratio rho(n), with the implied constant
+    lhs / (L^2 rho) (source kind, d = 2) or lhs / (e^{2 mu_L T} rho)
+    (backward kind).  The asserted consequence of span equality is
+    lhs <= 1e-6 at full retained rank.
     """
-    tm = build_theory_matrices(kind, L, M, T, fcoeffs, grid)
-    if ops is None:
-        ops = assemble_operators(grid, CoefficientSet(q=1.0, c=0.0))
-    basis = compute_pod_basis(tm.A_tilde.T, energy_tol=0.0, ops=ops,
-                              provenance={"equation": "modal data-driven snapshots",
-                                          "kind": tm.kind.value})
+    basis = compute_pod_basis(tm.A_tilde.T, energy_tol=0.0, ops=ops)
     rank = basis.n_pod
-    if n_pod is None:
-        n_pod = rank
-    n_pod = min(n_pod, rank)
-
-    mass = ops.mass
-    A = tm.A
-    energies = np.sum(A * (mass @ A), axis=0)      # ||a_i||^2 per column
-    total = float(energies.sum())
-    C = basis.psi.T @ (mass @ A)                   # (rank, M) coefficients
-    captured = np.cumsum(C ** 2, axis=0).sum(axis=1)
-
-    lams = basis.eigenvalues
-    lam_total = float(lams.sum())
+    n_pod = rank if n_pod is None else min(n_pod, rank)
     if tm.kind is ProblemKind.INVERSE_SOURCE:
-        bound_factor = float(L ** 2)               # L^{4/d} with d = 2
+        bound_factor = float(tm.L ** 2)            # L^{4/d} with d = 2
     else:
-        bound_factor = float(np.exp(2.0 * tm.mus[-1] * T))
+        bound_factor = float(np.exp(2.0 * tm.mus[-1] * tm.T))
 
+    rows = [(1.0, 1.0)] + [projection_error_ratio(tm.A.T, basis.truncated(n))
+                           for n in range(1, rank + 1)]
     table = []
-    for n in range(0, rank + 1):
-        lhs = 1.0 if n == 0 else max(total - captured[n - 1], 0.0) / total
-        rho = float(lams[n:].sum() / lam_total)
-        scaled = bound_factor * rho
+    for n, (lhs, rho) in enumerate(rows):
         table.append({
             "n_pod": n,
-            "lhs": float(lhs),
+            "lhs": lhs,
             "rho": rho,
-            "implied_constant": float(lhs / scaled) if scaled > 0 else None,
+            "implied_constant": lhs / (bound_factor * rho) if rho > 0 else None,
         })
 
     full_rank_lhs = table[rank]["lhs"]
-    report = {
+    return {
         "kind": tm.kind.value,
-        "L": L,
-        "M": M,
-        "T": T,
+        "L": tm.L,
+        "M": tm.M,
+        "T": tm.T,
         "modes": [list(jk) for jk in tm.modes],
         "bound_factor": bound_factor,
         "retained_rank": rank,
@@ -186,11 +176,10 @@ def verify_pod_bound(kind: ProblemKind, L: int, M: int, T: float,
         "lhs": table[n_pod]["lhs"],
         "rho": table[n_pod]["rho"],
         "implied_constant": table[n_pod]["implied_constant"],
-        "full_rank_lhs": float(full_rank_lhs),
+        "full_rank_lhs": full_rank_lhs,
         "table": table,
         "pass": bool(full_rank_lhs <= 1e-6),
     }
-    return report
 
 
 def response_profile_conditioning(mus, ts) -> dict:

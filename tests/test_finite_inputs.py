@@ -7,9 +7,9 @@ import pytest
 
 from adjpod import (CoefficientSet, ExperimentConfig, InverseConfig, TimeGrid,
                     assemble_operators, build_adjoint_pod, build_grid,
-                    build_reduced_model, gradient_of_J, solve_forward,
-                    tikhonov_direct_reduced, tikhonov_gradient_descent_reduced,
-                    write_field_csv)
+                    build_reduced_model, compute_pod_basis, gradient_of_J,
+                    solve_forward, tikhonov_direct_reduced,
+                    tikhonov_gradient_descent_reduced, write_field_csv)
 from adjpod.cli import main
 from adjpod.fem import conform_dirichlet
 
@@ -51,6 +51,49 @@ def test_inverse_config_rejects_non_finite_lambda(bad):
 def test_inverse_config_rejects_non_finite_step(bad):
     with pytest.raises(ValueError, match=f"step size.*{bad}"):
         InverseConfig(beta=bad)
+
+
+@pytest.mark.parametrize("bad", BAD + [-1.0])
+def test_inverse_config_rejects_a_bad_gradient_tolerance(bad):
+    with pytest.raises(ValueError, match=f"gradient tolerance.*{bad}"):
+        InverseConfig(grad_tol=bad)
+
+
+def test_inverse_config_accepts_a_zero_gradient_tolerance():
+    assert InverseConfig(grad_tol=0.0).grad_tol == 0.0
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_pod_basis_rejects_a_non_finite_energy_tolerance(grid, ops, bad):
+    x, y = grid.coords[:, 0], grid.coords[:, 1]
+    snaps = np.stack([np.sin(x) * np.sin(y), np.sin(2 * x) * np.sin(y)])
+    with pytest.raises(ValueError, match=f"energy_tol.*{bad}"):
+        compute_pod_basis(snaps, energy_tol=bad, ops=ops)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_time_grid_rejects_a_non_finite_final_time(bad):
+    with pytest.raises(ValueError, match=f"final time.*{bad}"):
+        TimeGrid(T=bad, M=4)
+
+
+@pytest.mark.parametrize("name", ["q", "c"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_assembly_rejects_non_finite_coefficients(grid, name, bad):
+    coeffs = CoefficientSet(**{name: bad})
+    with pytest.raises(ValueError, match=f"coefficient {name} must be finite"):
+        assemble_operators(grid, coeffs)
+
+
+@pytest.mark.parametrize("override,named", [("time.t=inf", "final time"),
+                                            ("coefficients.q=nan", "coefficient q"),
+                                            ("coefficients.c=inf", "coefficient c")])
+def test_cli_invert_names_a_non_finite_problem_value(tmp_path, capsys, override, named):
+    code = main(["invert", "--set", "grid.nx=9", "--set", "grid.ny=9",
+                 "--set", "time.m=5", "--set", override, "--out", str(tmp_path)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert named in out and "internal error" not in out
 
 
 @pytest.mark.parametrize("bad", BAD)

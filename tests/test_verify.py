@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+import adjpod.cli
+import adjpod.verify
 from adjpod import (ProblemKind, SpectralCoefficients, adjoint_response_factor,
-                    build_theory_matrices, eigenvalue, final_time_factor,
-                    laplace_eigenpair, response_profile_conditioning,
-                    verify_pod_bound, verify_span_equality)
+                    build_theory_matrices, compute_pod_basis, eigenvalue,
+                    final_time_factor, laplace_eigenpair,
+                    response_profile_conditioning, verify_pod_bound,
+                    verify_span_equality)
 
 # mode pairs with pairwise-distinct eigenvalues 2, 5, 8, 10, 13, 17
 _DISTINCT_MODES = ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (1, 4))
@@ -98,6 +101,46 @@ def test_pod_bound_full_rank_capture(grid, desk_ops, kind, T):
     rho_col = [row["rho"] for row in table]
     assert all(a >= b - 1e-12 for a, b in zip(lhs_col, lhs_col[1:]))
     assert all(a >= b for a, b in zip(rho_col, rho_col[1:]))
+
+
+def _cumsum_bound_table(tm, ops):
+    """(lhs, rho) per basis size from the explicit cumsum formulas: captured
+    energy of the forward columns and tail sums of the A-tilde spectrum."""
+    basis = compute_pod_basis(tm.A_tilde.T, energy_tol=0.0, ops=ops)
+    A, mass = tm.A, ops.mass
+    total = float(np.sum(A * (mass @ A)))
+    captured = np.cumsum((basis.psi.T @ (mass @ A)) ** 2, axis=0).sum(axis=1)
+    lams = basis.eigenvalues
+    return [(1.0 if n == 0 else max(total - captured[n - 1], 0.0) / total,
+             float(lams[n:].sum() / lams.sum()))
+            for n in range(basis.n_pod + 1)]
+
+
+@pytest.mark.parametrize("kind,T", [("source", 1.0), ("backward", 0.05)])
+@pytest.mark.parametrize("L", [2, 4])
+def test_pod_bound_table_matches_the_cumsum_formula(grid, desk_ops, kind, T, L):
+    report = verify_pod_bound(kind, L, L, T, _coeffs(L), grid, ops=desk_ops)
+    tm = build_theory_matrices(kind, L, L, T, _coeffs(L), grid)
+    expected = _cumsum_bound_table(tm, desk_ops)
+    assert len(report["table"]) == len(expected)
+    for row, (lhs, rho) in zip(report["table"], expected):
+        assert row["lhs"] == pytest.approx(lhs, rel=0, abs=1e-12)
+        assert row["rho"] == pytest.approx(rho, rel=0, abs=1e-12)
+
+
+def test_verify_theory_builds_each_modal_problem_once(monkeypatch, capsys):
+    calls = []
+    real = adjpod.verify.build_theory_matrices
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(adjpod.verify, "build_theory_matrices", counted)
+    monkeypatch.setattr(adjpod.cli, "build_theory_matrices", counted)
+    assert adjpod.cli.main(["verify-theory"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert len(calls) == 6                 # 2 kinds x levels 2, 4, 6
 
 
 def test_pod_bound_truncation_row_is_selected(grid, desk_ops):

@@ -18,7 +18,8 @@ from .inversion import (InverseConfig, MeasurementSet, add_noise, denoise,
                         tikhonov_direct_reduced, tikhonov_gradient_descent,
                         tikhonov_gradient_descent_reduced, tikhonov_objective)
 from .pod import (PodBasis, SnapshotSet, collect_snapshots, compute_pod_basis,
-                  correlation_matrix, principal_angles, projection_error_ratio)
+                  correlation_matrix, principal_angles, projection_error_ratio,
+                  snapshot_steps)
 from .reduced import (ReducedModel, build_adjoint_pod, build_reduced_model,
                       build_traditional_pod, drive, reduced_solve,
                       solve_adjoint, spod_matrix)

@@ -83,7 +83,7 @@ def _cmd_forward(args) -> int:
     data = _field_from(args.input, grid,
                        "source term" if kind is ProblemKind.INVERSE_SOURCE
                        else "initial state")
-    traj = drive(kind, data, ops, tg)
+    traj = drive(kind, data, ops, tg, steps=[tg.M])
     os.makedirs(args.out, exist_ok=True)
     serialize.write_field_csv(os.path.join(args.out, "input.csv"), grid, data)
     serialize.write_field_csv(os.path.join(args.out, "final_state.csv"),
@@ -165,7 +165,11 @@ def _cmd_invert(args) -> int:
     if args.full_scale:
         overrides = [f"grid.nx={FULL_NX}", f"grid.ny={FULL_NX}",
                      f"time.m={FULL_M}"] + overrides
-    cfg = load_config(args.config, tuple(overrides))
+    try:
+        cfg = load_config(args.config, tuple(overrides))
+    except ValueError as exc:
+        print(f"{_FAIL}  invalid config: {exc}")
+        return 1
     out = args.out if args.out is not None else cfg.out_dir
     try:
         metrics = run_experiment(cfg, out)

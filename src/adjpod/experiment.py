@@ -28,7 +28,7 @@ from . import inversion, serialize
 from .fem import CoefficientSet, TimeGrid, assemble_operators
 from .fem import solve_forward  # noqa: F401 - traced by perfbench/spans.py
 from .grid import Grid2D, build_grid
-from .pod import PodBasis, principal_angles
+from .pod import PodBasis, principal_angles, snapshot_steps
 from .reduced import (build_adjoint_pod, build_reduced_model, build_traditional_pod,
                       drive, reduced_solve)
 from .reduced import spod_matrix  # noqa: F401 - traced by perfbench/spans.py
@@ -68,6 +68,14 @@ def parse_coefficient(spec: str):
                      f"use a number or one of: {', '.join(sorted(_NAMED_COEFFS))}")
 
 
+def _positive(value: float) -> bool:
+    return bool(np.isfinite(value) and value > 0)
+
+
+def _non_negative(value: float) -> bool:
+    return bool(np.isfinite(value) and value >= 0)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat description of one pipeline run."""
@@ -99,10 +107,34 @@ class ExperimentConfig:
         ProblemKind.parse(self.kind)
         if self.nx < 3 or self.ny < 3:
             raise ValueError("grid must have nx, ny >= 3")
-        if self.M < 1:
-            raise ValueError("need at least one time step")
-        if self.noise < 0:
-            raise ValueError("noise level must be >= 0")
+        for name in ("lam", "alpha"):
+            raw = getattr(self, name)
+            if raw != "auto" and not np.isfinite(float(raw)):
+                raise ValueError(f"{name} must be 'auto' or a finite number, got {raw!r}")
+        # (field, holds, rule); a failure names the field's INI key
+        for name, holds, rule in (
+            ("M", self.M >= 1, "number of time steps must be >= 1"),
+            ("T", self.T is None or _positive(self.T),
+             "final time must be finite and positive"),
+            ("noise", _non_negative(self.noise), "noise level must be finite and >= 0"),
+            ("n_pod", self.n_pod >= 1, "POD mode count must be >= 1"),
+            ("energy", self.energy is None or _non_negative(self.energy),
+             "energy tolerance must be finite and >= 0"),
+            ("max_snapshots", self.max_snapshots >= 3 and self.max_snapshots % 2 == 1,
+             "snapshot budget must be odd and >= 3"),
+            ("beta", self.beta is None or _positive(self.beta),
+             "step size must be finite and positive"),
+            ("max_iters", self.max_iters >= 1, "iteration cap must be >= 1"),
+            ("grad_tol", self.grad_tol is None or _non_negative(self.grad_tol),
+             "gradient tolerance must be finite and >= 0"),
+            ("seed", self.seed >= 0, "noise seed must be >= 0"),
+            ("lam", self.lam == "auto" or float(self.lam) >= 0,
+             "Tikhonov weight must be 'auto' or >= 0"),
+            ("alpha", self.alpha == "auto" or float(self.alpha) > 0,
+             "denoising weight must be 'auto' or > 0"),
+        ):
+            if not holds:
+                raise ValueError(f"{_CONFIG_KEYS[name]}: {rule}, got {getattr(self, name)}")
         if self.mode not in ("direct", "gradient"):
             raise ValueError(f"unknown inversion mode {self.mode!r}")
         if self.basis not in ("adjoint", "traditional") and \
@@ -112,10 +144,6 @@ class ExperimentConfig:
         parse_detector_spec(self.detectors)
         parse_coefficient(self.q)
         parse_coefficient(self.c)
-        for name in ("lam", "alpha"):
-            raw = getattr(self, name)
-            if raw != "auto" and not np.isfinite(float(raw)):
-                raise ValueError(f"{name} must be 'auto' or a finite number, got {raw!r}")
 
     @property
     def problem_kind(self) -> ProblemKind:
@@ -158,6 +186,9 @@ _CONFIG_SCHEMA = {
     ("inverse", "mode"): ("mode", str),
     ("output", "dir"): ("out_dir", str),
 }
+# config field -> its "section.key" name, for error messages
+_CONFIG_KEYS = {name: f"{section}.{key}"
+                for (section, key), (name, _) in _CONFIG_SCHEMA.items()}
 
 
 def load_config(path: Optional[str] = None, overrides: Tuple[str, ...] = (),
@@ -184,7 +215,10 @@ def load_config(path: Optional[str] = None, overrides: Tuple[str, ...] = (),
         if spot not in _CONFIG_SCHEMA:
             raise ValueError(f"unknown config key [{section}] {key}")
         name, cast = _CONFIG_SCHEMA[spot]
-        updates[name] = cast(raw)
+        try:
+            updates[name] = cast(raw)
+        except ValueError as exc:
+            raise ValueError(f"{_CONFIG_KEYS[name]}: {exc}") from exc
     base = base if base is not None else ExperimentConfig()
     return replace(base, **updates) if updates else base
 
@@ -283,9 +317,10 @@ def _truth_stage(cfg: ExperimentConfig, kind: ProblemKind, grid: Grid2D, ops,
     every noise level, seed, detector layout and inversion setting.
 
     Kept for the most recent key (the problem key plus truth, max_snapshots,
-    n_pod and energy); its arrays are read-only.  Of the trajectory only the
-    final state is kept: the inverse-crime basis holds what later stages
-    need of the rest.  ``reused`` is True on a hit, and the solve time is
+    n_pod and energy); its arrays are read-only.  The forward solve stores
+    only the states the inverse-crime basis samples, and of those only the
+    final state is kept: the basis holds what later stages need of the
+    rest.  ``reused`` is True on a hit, and the solve time is
     then the one measured when it was built.  Failures are tagged with the
     stage that raised.
     """
@@ -300,7 +335,8 @@ def _truth_stage(cfg: ExperimentConfig, kind: ProblemKind, grid: Grid2D, ops,
         truth = make_shape(cfg.truth, grid)
         stage = "forward"
         t0 = time.perf_counter()
-        traj = drive(kind, truth, ops, tg)
+        traj = drive(kind, truth, ops, tg,
+                     steps=snapshot_steps(tg.M, cfg.max_snapshots))
         solve_s = time.perf_counter() - t0
         stage = "basis"
         traditional = build_traditional_pod(kind, traj, ops,

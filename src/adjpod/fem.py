@@ -14,7 +14,7 @@ and reused by every solve with that step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -113,10 +113,16 @@ class DiscreteOperators:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Backward-Euler solution path U_0 .. U_M (rows of ``states``)."""
+    """Backward-Euler states U_k at the time steps k listed in ``steps``.
+
+    Row i of ``states`` is U_{steps[i]}.  ``steps`` is strictly increasing
+    and ends at M, so ``final`` is always U_M; a full path has
+    ``steps = 0, 1, ..., M``.
+    """
 
     tg: TimeGrid
     states: np.ndarray
+    steps: np.ndarray
 
     @property
     def n_states(self) -> int:
@@ -217,8 +223,21 @@ def _stepper(ops: DiscreteOperators, dt: float):
     return cached
 
 
+def _stored_steps(tg: TimeGrid, steps: Optional[Sequence[int]]) -> np.ndarray:
+    if steps is None:
+        return np.arange(tg.M + 1)
+    out = np.array(steps)
+    if out.ndim != 1 or out.size == 0 or not np.issubdtype(out.dtype, np.integer):
+        raise ValueError("steps must be a non-empty list of integer time steps")
+    if out[0] < 0 or out[-1] != tg.M or np.any(np.diff(out) <= 0):
+        raise ValueError(f"steps must be strictly increasing, lie in [0, {tg.M}] "
+                         f"and end at M={tg.M}")
+    return out
+
+
 def solve_forward(ops: DiscreteOperators, tg: TimeGrid,
-                  f: np.ndarray, g: np.ndarray) -> Trajectory:
+                  f: np.ndarray, g: np.ndarray,
+                  steps: Optional[Sequence[int]] = None) -> Trajectory:
     """Backward-Euler trajectory of u_t + L u = f, u(0) = g, u = 0 on the boundary.
 
     Parameters
@@ -231,24 +250,36 @@ def solve_forward(ops: DiscreteOperators, tg: TimeGrid,
     f, g : ndarray
         Nodal source term and initial state; both must vanish on the
         boundary (roundoff-level residues are projected to zero).
+    steps : sequence of int, optional
+        Time steps k whose states U_k are stored, strictly increasing in
+        [0, M] and ending at M; all M steps are taken either way, and the
+        stored states are the same bits as the matching rows of the full
+        path.  None (the default) stores every state U_0 .. U_M; a short
+        list keeps memory at ``len(steps) * n_nodes`` however large M is.
     """
     grid = ops.grid
     f = conform_dirichlet(grid, f, "source term")
     g = conform_dirichlet(grid, g, "initial state")
+    steps = _stored_steps(tg, steps)
 
     idx = ops.interior
     dt = tg.dt
     lu, mass_ii = _stepper(ops, dt)
     load = dt * (ops.mass @ f)[idx]
 
-    states = np.zeros((tg.M + 1, grid.n_nodes))
+    states = np.zeros((len(steps), grid.n_nodes))
     # grid.interior is the row-major block [1:-1, 1:-1] of the (ny, nx) node
     # array, so a state's interior values are written through this view
-    inner = states.reshape(tg.M + 1, grid.ny, grid.nx)[:, 1:-1, 1:-1]
+    inner = states.reshape(len(steps), grid.ny, grid.nx)[:, 1:-1, 1:-1]
     block = (grid.ny - 2, grid.nx - 2)
     u = g[idx].copy()
-    inner[0] = u.reshape(block)
+    row = 0
+    if steps[0] == 0:
+        inner[0] = u.reshape(block)
+        row = 1
     for k in range(1, tg.M + 1):
         u = lu.solve(mass_ii @ u + load)
-        inner[k] = u.reshape(block)
-    return Trajectory(tg=tg, states=states)
+        if k == steps[row]:
+            inner[row] = u.reshape(block)
+            row += 1
+    return Trajectory(tg=tg, states=states, steps=steps)

@@ -5,6 +5,10 @@ plus the M difference quotients (u(t_k) - u(t_{k-1})) / dt.  The basis
 comes from the eigendecomposition of the (2M+1) x (2M+1) correlation
 matrix K_ij = (y_i, y_j)_{L2} in the mass-weighted inner product — never
 from the node-dimension Gram matrix — so the cost is mesh independent.
+Only the states at ``snapshot_steps(M, max_snapshots)`` enter, so a solve
+can store just those, and the mass products are formed a block of
+snapshot rows at a time: the memory of the snapshot path grows with
+``max_snapshots * n_nodes``, not with M.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import scipy.linalg
 from .fem import DiscreteOperators, Trajectory
 
 RANK_CUTOFF = 1e-12  # discard correlation eigenvalues below RANK_CUTOFF * lambda_1
+_MASS_BLOCK_ROWS = 32  # snapshot rows per sparse mass product
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,30 +81,43 @@ class PodBasis:
                         provenance=dict(self.provenance, truncated_from=self.n_pod))
 
 
+def snapshot_steps(M: int, max_snapshots: int = 201) -> np.ndarray:
+    """Time steps k of an M-step path whose states form the snapshot set.
+
+    Every step 0..M when the 2M+1 states and quotients fit
+    ``max_snapshots``; otherwise M'+1 steps spread uniformly over [0, M]
+    (rounded to the nearest step) with M' = (max_snapshots - 1) // 2, so
+    that 2M'+1 <= max_snapshots.  The steps are strictly increasing and
+    end at M: ``solve_forward(..., steps=snapshot_steps(M, n))`` stores
+    exactly what ``collect_snapshots(..., max_snapshots=n)`` reads.
+    """
+    if max_snapshots < 3 or max_snapshots % 2 == 0:
+        raise ValueError(f"max_snapshots must be odd and >= 3, got {max_snapshots}")
+    if 2 * M + 1 <= max_snapshots:
+        return np.arange(M + 1)
+    return np.rint(np.linspace(0, M, (max_snapshots - 1) // 2 + 1)).astype(int)
+
+
 def collect_snapshots(traj: Trajectory, ops: DiscreteOperators,
                       max_snapshots: int = 201) -> SnapshotSet:
     """States plus difference quotients, subsampled to fit ``max_snapshots``.
 
-    When 2M+1 exceeds the budget the time grid is thinned uniformly to M'
-    steps with 2M'+1 <= max_snapshots and the quotients are formed on the
-    thinned grid (scaled by the actual time gaps).
+    The states are those at ``snapshot_steps(M, max_snapshots)``; the
+    trajectory must store them (a full path, or one solved with exactly
+    those ``steps``).  On a thinned grid of M' steps the quotients are
+    formed between neighbouring sampled states, scaled by the actual time
+    gaps.
     """
-    if max_snapshots < 3 or max_snapshots % 2 == 0:
-        raise ValueError(f"max_snapshots must be odd and >= 3, got {max_snapshots}")
-    m_full = traj.n_states - 1
-    if m_full < 1:
-        raise ValueError("trajectory must contain at least two states")
-
-    if 2 * m_full + 1 <= max_snapshots:
-        idx = np.arange(m_full + 1)
-    else:
-        m_sub = (max_snapshots - 1) // 2
-        idx = np.rint(np.linspace(0, m_full, m_sub + 1)).astype(int)
+    idx = snapshot_steps(traj.tg.M, max_snapshots)
+    if not np.all(np.isin(idx, traj.steps)):
+        raise ValueError("trajectory does not store the states at the snapshot steps")
+    rows = np.searchsorted(traj.steps, idx)
     times = traj.tg.times[idx]
     m = len(idx) - 1
     snapshots = np.empty((2 * m + 1, traj.states.shape[1]))
     states, quotients = snapshots[:m + 1], snapshots[m + 1:]
-    np.take(traj.states, idx, axis=0, out=states)
+    for i, row in enumerate(rows):      # row copies: no gathered temporary
+        states[i] = traj.states[row]
     np.subtract(states[1:], states[:-1], out=quotients)
     quotients /= np.diff(times)[:, None]
     return SnapshotSet(snapshots=snapshots, ops=ops, m_steps=m, times=times)
@@ -119,11 +137,25 @@ def _ops_of(snapshots, ops: Optional[DiscreteOperators]) -> DiscreteOperators:
     return ops
 
 
+def _mass_product(mass, Y: np.ndarray) -> np.ndarray:
+    """``mass @ Y.T`` as one (n_nodes, count) array, formed a block of
+    snapshot rows at a time so that no transposed copy of all of Y is made.
+    Each entry is the same sum as in the one-shot product, so the bits are
+    equal."""
+    out = np.empty((Y.shape[1], Y.shape[0]))
+    for start in range(0, Y.shape[0], _MASS_BLOCK_ROWS):
+        stop = start + _MASS_BLOCK_ROWS
+        out[:, start:stop] = mass @ Y[start:stop].T
+    return out
+
+
 def correlation_matrix(snapshots, ops: Optional[DiscreteOperators] = None) -> np.ndarray:
-    """Dense symmetric K with K_ij = (y_i, y_j) in the mass inner product."""
+    """Dense symmetric K with K_ij = (y_i, y_j) in the mass inner product.
+
+    K = Y (M Y^T) stays a single GEMM: splitting it into blocks changes
+    the rounding of its entries."""
     Y = _as_matrix(snapshots)
-    mass = _ops_of(snapshots, ops).mass
-    K = Y @ (mass @ Y.T)
+    K = Y @ _mass_product(_ops_of(snapshots, ops).mass, Y)
     return 0.5 * (K + K.T)
 
 
@@ -203,13 +235,13 @@ def projection_error_ratio(snapshots, basis: PodBasis):
     """
     Y = _as_matrix(snapshots)
     mass = basis.ops.mass
-    MY = (mass @ Y.T).T
+    MY = _mass_product(mass, Y).T
     den = float(np.sum(Y * MY))
     if den <= 0:
         raise ValueError("snapshot set carries no energy")
     C = MY @ basis.psi                        # (count, n_pod) coefficients
     R = Y - C @ basis.psi.T
-    num = float(np.sum(R * (mass @ R.T).T))
+    num = float(np.sum(R * _mass_product(mass, R).T))
     return max(num, 0.0) / den, basis.rho
 
 

@@ -12,42 +12,44 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .fem import DiscreteOperators, TimeGrid, Trajectory, conform_dirichlet, solve_forward
-from .pod import PodBasis, SnapshotSet, collect_snapshots, compute_pod_basis
+from .pod import (PodBasis, SnapshotSet, collect_snapshots, compute_pod_basis,
+                  snapshot_steps)
 from .spectral import ProblemKind
 
 _ORTHO_TOL = 1e-10
 
 
 def drive(kind: ProblemKind, field: np.ndarray, ops: DiscreteOperators,
-          tg: TimeGrid) -> Trajectory:
+          tg: TimeGrid, steps: Optional[Sequence[int]] = None) -> Trajectory:
     """Full-order trajectory of the heat equation driven by ``field``.
 
     Source kind: forcing = field, zero initial state.  Backward kind: zero
     forcing, initial state = field.  The field's boundary values are not
     touched, so ``solve_forward`` rejects a field that does not vanish there.
+    ``steps`` selects the stored states as in ``solve_forward``.
     """
     zero = np.zeros(ops.grid.n_nodes)
     if ProblemKind.parse(kind) is ProblemKind.INVERSE_SOURCE:
-        return solve_forward(ops, tg, f=field, g=zero)
-    return solve_forward(ops, tg, f=zero, g=field)
+        return solve_forward(ops, tg, f=field, g=zero, steps=steps)
+    return solve_forward(ops, tg, f=zero, g=field, steps=steps)
 
 
 def solve_adjoint(kind: ProblemKind, m: np.ndarray, ops: DiscreteOperators,
-                  tg: TimeGrid) -> Trajectory:
+                  tg: TimeGrid, steps: Optional[Sequence[int]] = None) -> Trajectory:
     """Full-order auxiliary trajectory driven by the measurement field m.
 
     Boundary residue on m (for example left over from denoising) is
-    projected to zero before ``drive``.
+    projected to zero before ``drive``; ``steps`` is passed on to it.
     """
     m = np.asarray(m, dtype=float).copy()
     m[ops.grid.boundary] = 0.0
-    return drive(kind, m, ops, tg)
+    return drive(kind, m, ops, tg, steps=steps)
 
 
 def build_adjoint_pod(kind: ProblemKind, m: np.ndarray, ops: DiscreteOperators,
@@ -59,10 +61,11 @@ def build_adjoint_pod(kind: ProblemKind, m: np.ndarray, ops: DiscreteOperators,
     # the auxiliary solve sees m on the interior only (see solve_adjoint)
     if not np.any(np.asarray(m)[ops.interior] != 0.0):
         raise ValueError("measurement field is identically zero: no snapshot energy")
-    # no name holds the auxiliary trajectory: it is freed once its
-    # snapshots are collected, before POD runs
-    snaps = collect_snapshots(solve_adjoint(kind, m, ops, tg), ops,
-                              max_snapshots=max_snapshots)
+    # the auxiliary solve stores only the sampled states, and no name holds
+    # its trajectory: it is freed once its snapshots are collected
+    snaps = collect_snapshots(
+        solve_adjoint(kind, m, ops, tg, steps=snapshot_steps(tg.M, max_snapshots)),
+        ops, max_snapshots=max_snapshots)
     return _pod_basis(kind, snaps, n_modes, energy_tol, max_snapshots,
                       "data-driven auxiliary parabolic solve", driver_label,
                       inverse_crime=False)
@@ -72,7 +75,11 @@ def build_traditional_pod(kind: ProblemKind, truth_trajectory: Trajectory,
                           ops: DiscreteOperators, n_modes: Optional[int] = None,
                           energy_tol: Optional[float] = None,
                           max_snapshots: int = 201) -> PodBasis:
-    """Truth-driven baseline basis (the inverse-crime comparison point)."""
+    """Truth-driven baseline basis (the inverse-crime comparison point).
+
+    ``truth_trajectory`` must store the states at
+    ``snapshot_steps(M, max_snapshots)``: a full path, or one solved with
+    exactly those ``steps``."""
     snaps = collect_snapshots(truth_trajectory, ops, max_snapshots=max_snapshots)
     return _pod_basis(kind, snaps, n_modes, energy_tol, max_snapshots,
                       "forward solve of the true problem", "ground-truth data",

@@ -9,6 +9,11 @@ uninstalling the tracer here keeps that breakage inside the fast suite.
 import importlib.util
 import pathlib
 
+import numpy as np
+
+import adjpod
+import adjpod.experiment
+
 SPANS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -30,3 +35,26 @@ def test_tracer_installs_on_every_site_and_uninstalls():
         tracer.uninstall()
     assert all(wrapped[site] is not originals[site] for site in sites)
     assert all(getattr(*spans._resolve(site)) is originals[site] for site in sites)
+
+
+def test_traced_run_counts_every_step_and_digests_each_driver(tmp_path):
+    """Solves that store only some states still count all M steps, and each
+    solve's digest still binds its source term and initial state."""
+    spans = _load_spans()
+    cfg = adjpod.ExperimentConfig(nx=9, ny=9, M=5, truth="sin2exp", n_pod=3,
+                                  detectors="7x7")
+    adjpod.experiment._TRUTH_MEMO.clear()      # the truth solve must run here
+    with spans.Tracer() as tracer:
+        adjpod.run_experiment(cfg, str(tmp_path))
+    layers = tracer.metrics()
+    solves = layers["fem.solve_forward.calls"]
+    assert solves == 2                          # the truth and the auxiliary solve
+    assert layers["fem.steps"] == solves * cfg.M
+    # both solves share operators, dt and M: only f and g tell them apart
+    assert len(tracer.solve_digests) == solves
+    _, grid, ops, tg = adjpod.build_problem(cfg.kind, cfg.nx, cfg.ny, cfg.T, cfg.M,
+                                            cfg.q, cfg.c)
+    truth_solve = spans._digest(spans._operators_digest(ops), tg.dt, tg.M,
+                                adjpod.make_shape(cfg.truth, grid),
+                                np.zeros(grid.n_nodes))
+    assert truth_solve in tracer.solve_digests

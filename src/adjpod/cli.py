@@ -372,10 +372,7 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except StageError as exc:
-        print(f"{_FAIL}  {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (StageError, ValueError, OSError) as exc:
         print(f"{_FAIL}  {exc}", file=sys.stderr)
         return 1
     except Exception:

@@ -7,15 +7,17 @@ into one output directory.  Failures are tagged with the pipeline stage;
 artifacts written before the failure are kept.
 
 Work that does not depend on the measurement noise is done once per
-process: ``build_problem`` keeps the last few problems (grid, operators
-with their time-step factorizations, time grid), and the truth stage
-(truth field, its final state and solve time, the inverse-crime basis) is
-kept for the most recent key.  Both keys hold every input of the result.
+process: ``build_problem`` keeps the last few problems (grid, operators,
+time grid), ``fem`` keeps the time-step factorizations of the last few
+(operators, dt) pairs, and the truth stage (truth field, its final state
+and solve time, the inverse-crime basis) is kept for the most recent
+arguments.  Each key holds every input of its result.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
 import functools
 import os
 import time
@@ -56,23 +58,42 @@ class StageError(RuntimeError):
         self.original = original
 
 
+@contextlib.contextmanager
+def _stage(name: str):
+    """Tag a failure inside the block with stage ``name``; a failure that
+    already carries its stage passes through."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
+def _parsed(parse, raw, failed=None):
+    """parse(raw), or ``failed`` when raw does not parse."""
+    try:
+        return parse(raw)
+    except (TypeError, ValueError):
+        return failed
+
+
 def parse_coefficient(spec: str):
     """A coefficient spec is a float literal or a named profile."""
-    try:
-        return float(spec)
-    except (TypeError, ValueError):
-        pass
-    if spec in _NAMED_COEFFS:
-        return _NAMED_COEFFS[spec]
-    raise ValueError(f"unknown coefficient spec {spec!r}; "
-                     f"use a number or one of: {', '.join(sorted(_NAMED_COEFFS))}")
+    value = _NAMED_COEFFS.get(spec, _parsed(float, spec))
+    if value is None:
+        raise ValueError(f"unknown coefficient spec {spec!r}; "
+                         f"use a number or one of: {', '.join(sorted(_NAMED_COEFFS))}")
+    return value
 
 
-def _positive(value: float) -> bool:
+def _positive(raw) -> bool:
+    value = _parsed(float, raw, np.nan)
     return bool(np.isfinite(value) and value > 0)
 
 
-def _non_negative(value: float) -> bool:
+def _non_negative(raw) -> bool:
+    value = _parsed(float, raw, np.nan)
     return bool(np.isfinite(value) and value >= 0)
 
 
@@ -104,46 +125,46 @@ class ExperimentConfig:
     out_dir: str = "artifacts"
 
     def __post_init__(self):
-        ProblemKind.parse(self.kind)
-        if self.nx < 3 or self.ny < 3:
-            raise ValueError("grid must have nx, ny >= 3")
-        for name in ("lam", "alpha"):
-            raw = getattr(self, name)
-            if raw != "auto" and not np.isfinite(float(raw)):
-                raise ValueError(f"{name} must be 'auto' or a finite number, got {raw!r}")
+        profiles = ", ".join(sorted(_NAMED_COEFFS))
         # (field, holds, rule); a failure names the field's INI key
         for name, holds, rule in (
+            ("kind", _parsed(ProblemKind.parse, self.kind) is not None,
+             "problem kind must be 'source' or 'backward'"),
+            ("nx", self.nx >= 3, "grid needs at least 3 points along x"),
+            ("ny", self.ny >= 3, "grid needs at least 3 points along y"),
             ("M", self.M >= 1, "number of time steps must be >= 1"),
             ("T", self.T is None or _positive(self.T),
              "final time must be finite and positive"),
+            ("q", self.q in _NAMED_COEFFS or _positive(self.q),
+             f"diffusion coefficient q must be a finite number > 0 or one of: {profiles}"),
+            ("c", self.c in _NAMED_COEFFS or _non_negative(self.c),
+             f"reaction coefficient c must be a finite number >= 0 or one of: {profiles}"),
             ("noise", _non_negative(self.noise), "noise level must be finite and >= 0"),
+            ("detectors", _parsed(parse_detector_spec, self.detectors) is not None,
+             "detector layout must look like '50x50', with counts >= 1"),
             ("n_pod", self.n_pod >= 1, "POD mode count must be >= 1"),
             ("energy", self.energy is None or _non_negative(self.energy),
              "energy tolerance must be finite and >= 0"),
             ("max_snapshots", self.max_snapshots >= 3 and self.max_snapshots % 2 == 1,
              "snapshot budget must be odd and >= 3"),
+            ("basis", self.basis in ("adjoint", "traditional") or
+             self.basis.startswith("foreign:"),
+             "basis source must be adjoint, traditional or foreign:<shape>"),
             ("beta", self.beta is None or _positive(self.beta),
              "step size must be finite and positive"),
             ("max_iters", self.max_iters >= 1, "iteration cap must be >= 1"),
             ("grad_tol", self.grad_tol is None or _non_negative(self.grad_tol),
              "gradient tolerance must be finite and >= 0"),
+            ("mode", self.mode in ("direct", "gradient"),
+             "inversion mode must be direct or gradient"),
             ("seed", self.seed >= 0, "noise seed must be >= 0"),
-            ("lam", self.lam == "auto" or float(self.lam) >= 0,
-             "Tikhonov weight must be 'auto' or >= 0"),
-            ("alpha", self.alpha == "auto" or float(self.alpha) > 0,
-             "denoising weight must be 'auto' or > 0"),
+            ("lam", self.lam == "auto" or _non_negative(self.lam),
+             "Tikhonov weight lam must be 'auto' or a finite number >= 0"),
+            ("alpha", self.alpha == "auto" or _positive(self.alpha),
+             "denoising weight alpha must be 'auto' or a finite number > 0"),
         ):
             if not holds:
                 raise ValueError(f"{_CONFIG_KEYS[name]}: {rule}, got {getattr(self, name)}")
-        if self.mode not in ("direct", "gradient"):
-            raise ValueError(f"unknown inversion mode {self.mode!r}")
-        if self.basis not in ("adjoint", "traditional") and \
-                not self.basis.startswith("foreign:"):
-            raise ValueError(f"unknown basis source {self.basis!r}; "
-                             "use adjoint, traditional, or foreign:<shape>")
-        parse_detector_spec(self.detectors)
-        parse_coefficient(self.q)
-        parse_coefficient(self.c)
 
     @property
     def problem_kind(self) -> ProblemKind:
@@ -276,8 +297,8 @@ def build_problem(kind, nx: int, ny: int, T: Optional[float], M: int,
     T = None picks the kind's default final time.
 
     Memoized per process on these arguments (with T resolved) for the last
-    few problems, so equal problems share one grid, one ``ops`` (and the
-    time-step factorizations cached on it) and one ``tg``; their arrays are
+    few problems, so equal problems share one grid, one ``ops`` (and so the
+    time-step factorizations cached for it) and one ``tg``; their arrays are
     read-only."""
     kind = ProblemKind.parse(kind)
     return _problem(kind, nx, ny, T if T is not None else DEFAULT_T[kind], M, q, c)
@@ -305,69 +326,53 @@ def _pod_size(n_pod: int, energy: Optional[float]) -> dict:
     return {"energy_tol": energy} if energy is not None else {"n_modes": n_pod}
 
 
-# truth-stage key -> (truth, final state, solve seconds, inverse-crime basis);
-# at most one entry
-_TRUTH_MEMO: dict = {}
+@functools.lru_cache(maxsize=1)
+def _truth_stage(problem: tuple, truth: str, max_snapshots: int, n_pod: int,
+                 energy: Optional[float]) -> Tuple[np.ndarray, np.ndarray, float, PodBasis]:
+    """(truth field, final state, wall time of the forward solve,
+    inverse-crime basis) of the named truth on ``problem`` (the
+    ``build_problem`` tuple): what a run derives from the truth alone, the
+    same for every noise level, seed, detector layout and inversion setting.
 
-
-def _truth_stage(cfg: ExperimentConfig, kind: ProblemKind, grid: Grid2D, ops,
-                 tg: TimeGrid) -> Tuple[np.ndarray, np.ndarray, float, PodBasis, bool]:
-    """(truth, final state, wall time of the forward solve, inverse-crime
-    basis, reused): what a run derives from the truth alone, identical for
-    every noise level, seed, detector layout and inversion setting.
-
-    Kept for the most recent key (the problem key plus truth, max_snapshots,
-    n_pod and energy); its arrays are read-only.  The forward solve stores
-    only the states the inverse-crime basis samples, and of those only the
-    final state is kept: the basis holds what later stages need of the
-    rest.  ``reused`` is True on a hit, and the solve time is
-    then the one measured when it was built.  Failures are tagged with the
-    stage that raised.
+    Kept for the most recent arguments; its arrays are read-only, and a hit
+    returns the solve time measured when the entry was built.  The forward
+    solve stores only the states the basis samples, and only the final one
+    outlives this call.  Failures are tagged with the stage that raised.
     """
-    key = (kind, cfg.nx, cfg.ny, tg.T, cfg.M, cfg.q, cfg.c,
-           cfg.truth, cfg.max_snapshots, cfg.n_pod, cfg.energy)
-    held = _TRUTH_MEMO.get(key)
-    if held is not None:
-        return (*held, True)
-    _TRUTH_MEMO.clear()     # one entry at most, also while the next is built
-    stage = "truth"
-    try:
-        truth = make_shape(cfg.truth, grid)
-        stage = "forward"
+    kind, grid, ops, tg = problem
+    with _stage("truth"):
+        field = make_shape(truth, grid)
+    with _stage("forward"):
         t0 = time.perf_counter()
-        traj = drive(kind, truth, ops, tg,
-                     steps=snapshot_steps(tg.M, cfg.max_snapshots))
+        traj = drive(kind, field, ops, tg, steps=snapshot_steps(tg.M, max_snapshots))
         solve_s = time.perf_counter() - t0
-        stage = "basis"
-        traditional = build_traditional_pod(kind, traj, ops,
-                                            max_snapshots=cfg.max_snapshots,
-                                            **_pod_size(cfg.n_pod, cfg.energy))
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
+    with _stage("basis"):
+        traditional = build_traditional_pod(kind, traj, ops, max_snapshots=max_snapshots,
+                                            **_pod_size(n_pod, energy))
     final = traj.final.copy()
-    _read_only(truth, final, traditional.psi, traditional.eigenvalues)
-    _TRUTH_MEMO[key] = (truth, final, solve_s, traditional)
-    return truth, final, solve_s, traditional, False
+    _read_only(field, final, traditional.psi, traditional.eigenvalues)
+    return field, final, solve_s, traditional
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     """Run the full pipeline; returns the metrics record it also writes."""
     out = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    stage = "setup"
-    try:
-        kind, grid, ops, tg = build_problem(cfg.kind, cfg.nx, cfg.ny, cfg.T, cfg.M,
-                                            cfg.q, cfg.c)
-        truth, u_final, full_solve_s, traditional, forward_reused = _truth_stage(
-            cfg, kind, grid, ops, tg)
+    with _stage("setup"):
+        problem = build_problem(cfg.kind, cfg.nx, cfg.ny, cfg.T, cfg.M, cfg.q, cfg.c)
+        hits = _truth_stage.cache_info().hits
+        truth, u_final, full_solve_s, traditional = _truth_stage(
+            problem, cfg.truth, cfg.max_snapshots, cfg.n_pod, cfg.energy)
+        forward_reused = _truth_stage.cache_info().hits > hits
+    kind, grid, ops, tg = problem
 
-        stage = "truth"
+    with _stage("truth"):
         serialize.write_field_csv(os.path.join(out, "truth.csv"), grid, truth)
 
-        stage = "forward"
+    with _stage("forward"):
         serialize.write_field_csv(os.path.join(out, "final_state.csv"), grid, u_final)
 
-        stage = "measure"
+    with _stage("measure"):
         det_idx = detector_nodes(grid, cfg.detectors)
         det_pts = grid.coords[det_idx]
         clean = u_final[det_idx]
@@ -382,7 +387,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
             "noise_convention": "sigma = p * max|clean readings|",
         })
 
-        stage = "denoise"
+    with _stage("denoise"):
         denoise_info = {"skipped": cfg.noise == 0.0}
         if cfg.noise == 0.0:
             m_field = u_final
@@ -399,7 +404,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
             serialize.write_field_csv(os.path.join(out, "denoised.csv"), grid, m_field)
         denoise_info["alpha"] = alpha_used
 
-        stage = "basis"
+    with _stage("basis"):
         selector = _pod_size(cfg.n_pod, cfg.energy)
         if cfg.basis == "adjoint":
             basis = build_adjoint_pod(kind, m_field, ops, tg,
@@ -416,14 +421,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
         serialize.write_pod_basis(os.path.join(out, "basis"), basis)
         angles = principal_angles(basis, traditional)
 
-        stage = "reduce"
+    with _stage("reduce"):
         model = build_reduced_model(ops, basis, tg, kind)
         t0 = time.perf_counter()
         reduced_final, _ = reduced_solve(model, truth)
         reduced_solve_s = time.perf_counter() - t0
         serialize.write_reduced_model(os.path.join(out, "reduced_model"), model)
 
-        stage = "invert"
+    with _stage("invert"):
         if cfg.lam == "auto":
             lam = auto_lambda(ms, model)
         else:
@@ -441,7 +446,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
         recovered = basis.expand(f_r)
         serialize.write_field_csv(os.path.join(out, "recovered.csv"), grid, recovered)
 
-        stage = "metrics"
+    with _stage("metrics"):
         metrics = {
             "config": cfg.to_dict(),
             "kind": kind.value,
@@ -477,11 +482,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
             },
         }
         serialize.write_json(os.path.join(out, "metrics.json"), metrics)
-        return metrics
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
+    return metrics
 
 
 # ---------------------------------------------------------------------------
@@ -599,9 +600,10 @@ def _example_cross_basis(base, out_root):
                   noise=0.0)
     native = run_experiment(cfg, os.path.join(out_root, "native_backward"))
 
-    kind, grid, ops, tg = build_problem(cfg.kind, cfg.nx, cfg.ny, cfg.T, cfg.M,
-                                        cfg.q, cfg.c)
-    truth, m, *_ = _truth_stage(cfg, kind, grid, ops, tg)   # m is zero on the boundary
+    problem = build_problem(cfg.kind, cfg.nx, cfg.ny, cfg.T, cfg.M, cfg.q, cfg.c)
+    kind, grid, ops, tg = problem
+    truth, m, *_ = _truth_stage(problem, cfg.truth, cfg.max_snapshots, cfg.n_pod,
+                                cfg.energy)     # m is zero on the boundary
 
     source_tg = TimeGrid(T=DEFAULT_T[ProblemKind.INVERSE_SOURCE], M=cfg.M)
     basis = build_adjoint_pod(ProblemKind.INVERSE_SOURCE, m, ops, source_tg,

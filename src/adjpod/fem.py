@@ -7,13 +7,15 @@ boundary values by the implicit Euler scheme
 
     (mass + dt * stiffness) U_k = mass * U_{k-1} + dt * mass * f,
 
-with one sparse factorization per (operators, dt), kept on the operators
-and reused by every solve with that step.
+with one sparse factorization per (operators, dt), kept for the last few
+(operators, dt) pairs in the process and reused by every solve with that
+step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -29,7 +31,6 @@ _PHI_MID = np.array([[0.5, 0.5, 0.0],
                      [0.5, 0.0, 0.5]])
 
 _BOUNDARY_TOL = 1e-9
-_STEPPERS_KEPT = 4     # time steps whose factorizations one operators object keeps
 
 CoefficientFn = Union[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
@@ -82,14 +83,12 @@ class DiscreteOperators:
     """Assembled mass/stiffness pair with the Dirichlet bookkeeping.
 
     ``mass`` and ``stiffness`` must not be changed after the first solve:
-    the time-step factorizations cached on the operators depend on them.
+    the time-step factorizations cached for the operators depend on them.
     """
 
     grid: Grid2D
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
-    # dt -> (splu of interior mass + dt * stiffness, interior mass), oldest first
-    _steppers: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def boundary(self) -> np.ndarray:
@@ -205,22 +204,18 @@ def conform_dirichlet(grid: Grid2D, values: np.ndarray, what: str = "field") -> 
     return out
 
 
+@functools.lru_cache(maxsize=4)
 def _stepper(ops: DiscreteOperators, dt: float):
     """(splu of the interior mass + dt * stiffness, interior mass), built on
-    the first solve with this dt and kept on ``ops`` for the last
-    ``_STEPPERS_KEPT`` step sizes."""
-    cached = ops._steppers.get(dt)
-    if cached is None:
-        if len(ops._steppers) >= _STEPPERS_KEPT:
-            del ops._steppers[next(iter(ops._steppers))]
-        idx = ops.interior
-        system = (ops.mass + dt * ops.stiffness)[np.ix_(idx, idx)].tocsc()
-        try:
-            lu = splu(system)
-        except RuntimeError as exc:  # pragma: no cover - impossible under invariants
-            raise RuntimeError(f"internal error: time-step system is singular ({exc})")
-        cached = ops._steppers[dt] = (lu, ops.mass[np.ix_(idx, idx)].tocsr())
-    return cached
+    the first solve with this (ops, dt) and kept for the last 4 such pairs
+    in the process."""
+    idx = ops.interior
+    system = (ops.mass + dt * ops.stiffness)[np.ix_(idx, idx)].tocsc()
+    try:
+        lu = splu(system)
+    except RuntimeError as exc:  # pragma: no cover - impossible under invariants
+        raise RuntimeError(f"internal error: time-step system is singular ({exc})")
+    return lu, ops.mass[np.ix_(idx, idx)].tocsr()
 
 
 def _stored_steps(tg: TimeGrid, steps: Optional[Sequence[int]]) -> np.ndarray:

@@ -137,7 +137,9 @@ def denoise(ms: MeasurementSet, grid: Grid2D, alpha: float) -> np.ndarray:
 
 
 # (nx, ny, detector node bytes, alpha) -> (P, LU of the interior normal
-# matrix); at most one entry, since one LU takes megabytes on a fine grid
+# matrix); at most one entry, since one LU takes megabytes on a fine grid.
+# Not an lru_cache(maxsize=1), which keeps the old LU alive while the next
+# one is factorized: this dict drops it first.
 _DENOISE_MEMO: dict = {}
 
 

@@ -54,10 +54,10 @@ def build_theory_matrices(kind: ProblemKind, L: int, M: int, T: float,
     distinct) and every selected coefficient must be nonzero.
     """
     kind = ProblemKind.parse(kind)
-    if L > M:
-        raise ValueError(f"need L <= M snapshot times, got L={L}, M={M}")
-    if not T > 0:
-        raise ValueError(f"final time must be positive, got {T}")
+    if not 1 <= L <= M:
+        raise ValueError(f"need 1 <= L <= M snapshot times, got L={L}, M={M}")
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"final time must be finite and positive, got T={T}")
     sel = distinct_mu_subset(fcoeffs, L)
     if np.any(sel.values == 0.0):
         raise ValueError("all selected coefficients must be nonzero")

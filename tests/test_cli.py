@@ -143,6 +143,16 @@ def test_verify_theory_small_levels(tmp_path, capsys):
     assert "FAIL" not in stdout
 
 
+def test_verify_theory_rejects_zero_levels(capsys):
+    code = main(["verify-theory", "--levels", "0", "--nx", "9", "--ny", "9"])
+    assert code == 1
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    fails = [line for line in text.splitlines() if "FAIL" in line]
+    assert len(fails) == 1 and "L=0" in fails[0]
+    assert "Traceback" not in text
+
+
 def test_run_example_cross_basis(tmp_path, capsys):
     out = tmp_path / "ex47"
     code = main(["run-example", "4.7", "--out", str(out)])

@@ -38,6 +38,23 @@ BAD_VALUES = [
     ("inverse.lambda=-1", "inverse.lambda"),
     ("measurement.alpha=0", "measurement.alpha"),
     ("measurement.alpha=-1", "measurement.alpha"),
+    ("measurement.alpha=nan", "measurement.alpha"),
+    ("inverse.lambda=plenty", "inverse.lambda"),
+    ("coefficients.q=abc", "coefficients.q"),
+    ("coefficients.q=nan", "coefficients.q"),
+    ("coefficients.q=0", "coefficients.q"),
+    ("coefficients.q=-1", "coefficients.q"),
+    ("coefficients.c=varz", "coefficients.c"),
+    ("coefficients.c=inf", "coefficients.c"),
+    ("coefficients.c=-0.5", "coefficients.c"),
+    ("measurement.detectors=50by50", "measurement.detectors"),
+    ("measurement.detectors=0x5", "measurement.detectors"),
+    ("measurement.detectors=5x-1", "measurement.detectors"),
+    ("grid.nx=2", "grid.nx"),
+    ("grid.ny=2", "grid.ny"),
+    ("problem.kind=oblique", "problem.kind"),
+    ("inverse.mode=annealing", "inverse.mode"),
+    ("pod.basis=psychic", "pod.basis"),
 ]
 TINY = ("grid.nx=9", "grid.ny=9", "time.m=5")
 

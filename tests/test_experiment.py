@@ -175,6 +175,13 @@ def test_stage_error_carries_the_failing_stage(tmp_path):
     assert isinstance(err.value.original, ValueError)
 
 
+def test_an_unknown_foreign_shape_fails_in_the_basis_stage(tmp_path):
+    with pytest.raises(StageError) as err:
+        run_experiment(_fast_config(basis="foreign:not-a-shape"), str(tmp_path / "boom"))
+    assert err.value.stage == "basis"
+    assert isinstance(err.value.original, ValueError)
+
+
 def test_metrics_are_bit_reproducible_modulo_timings(tmp_path):
     cfg = _fast_config(noise=0.10, seed=42)
     run_experiment(cfg, str(tmp_path / "a"))

@@ -114,8 +114,11 @@ def test_a_hit_reports_the_stored_solve_time(tmp_path):
 
 def test_arrays_held_by_the_truth_memo_are_read_only(tmp_path):
     run_experiment(BASE, str(tmp_path / "run"))
-    (entry,) = experiment._TRUTH_MEMO.values()
-    truth, final, _, traditional = entry
+    hits = experiment._truth_stage.cache_info().hits
+    truth, final, _, traditional = experiment._truth_stage(
+        build_problem(BASE.kind, BASE.nx, BASE.ny, BASE.T, BASE.M, BASE.q, BASE.c),
+        BASE.truth, BASE.max_snapshots, BASE.n_pod, BASE.energy)
+    assert experiment._truth_stage.cache_info().hits == hits + 1
     for array in (truth, final, traditional.psi, traditional.eigenvalues):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -125,7 +128,14 @@ def test_arrays_held_by_the_truth_memo_are_read_only(tmp_path):
 def test_the_truth_memo_keeps_one_entry(tmp_path):
     for i, truth in enumerate(("sin1", "sin2", "glyphA")):
         run_experiment(replace(BASE, truth=truth), str(tmp_path / str(i)))
-        assert len(experiment._TRUTH_MEMO) == 1
+        assert experiment._truth_stage.cache_info().currsize == 1
+
+
+def test_the_truth_memo_keys_on_the_resolved_final_time(tmp_path):
+    cfg = replace(BASE, truth="glyphA", M=6)     # used by no other test
+    run_experiment(replace(cfg, T=None), str(tmp_path / "default"))
+    metrics = run_experiment(replace(cfg, T=1.0), str(tmp_path / "explicit"))
+    assert metrics["timings"]["forward_reused"] is True
 
 
 def test_equal_problems_share_one_setup():
@@ -158,7 +168,7 @@ def test_one_factorization_per_operators_and_step(monkeypatch):
     assert len(calls) == 2
     for M in (5, 6, 7):     # the oldest step size is dropped, not kept forever
         solve_forward(ops, TimeGrid(T=0.2, M=M), f=f, g=zero)
-    assert len(calls) == 5 and len(ops._steppers) == 4
+    assert len(calls) == 5 and adjpod.fem._stepper.cache_info().currsize == 4
     solve_forward(ops, tg, f=f, g=zero)
     assert len(calls) == 6
     # a fresh factorization gives the same trajectories

@@ -43,7 +43,7 @@ def test_traced_run_counts_every_step_and_digests_each_driver(tmp_path):
     spans = _load_spans()
     cfg = adjpod.ExperimentConfig(nx=9, ny=9, M=5, truth="sin2exp", n_pod=3,
                                   detectors="7x7")
-    adjpod.experiment._TRUTH_MEMO.clear()      # the truth solve must run here
+    adjpod.experiment._truth_stage.cache_clear()      # the truth solve must run here
     with spans.Tracer() as tracer:
         adjpod.run_experiment(cfg, str(tmp_path))
     layers = tracer.metrics()

@@ -61,6 +61,13 @@ def test_matrix_builder_validation(grid):
         build_theory_matrices("source", 2, 8, 1.0, zeroed, grid)
 
 
+@pytest.mark.parametrize("L,T,named", [(0, 1.0, "L=0"), (-1, 1.0, "L=-1"),
+                                         (2, np.inf, "T=inf"), (2, np.nan, "T=nan")])
+def test_matrix_builder_names_a_bad_mode_count_or_final_time(grid, L, T, named):
+    with pytest.raises(ValueError, match=named):
+        build_theory_matrices("source", L, max(L, 2), T, _coeffs(3), grid)
+
+
 @pytest.mark.parametrize("kind", ["source", "backward"])
 @pytest.mark.parametrize("L", [2, 4, 6])
 def test_span_equality_holds_on_modal_problems(grid, kind, L):

@@ -190,7 +190,11 @@ def _cmd_invert(args) -> int:
 def _cmd_verify_theory(args) -> int:
     kinds = ([ProblemKind.INVERSE_SOURCE, ProblemKind.BACKWARD]
              if args.kind == "both" else [ProblemKind.parse(args.kind)])
-    levels = [int(tok) for tok in args.levels.split(",")]
+    try:
+        levels = [int(tok) for tok in args.levels.split(",")]
+    except ValueError:
+        raise ValueError(f"--levels must be comma-separated positive integers, "
+                         f"got {args.levels!r}") from None
     # the analytic oracle problem (q = 1, c = 0); kind and time grid go unused
     _, grid, ops, _ = build_problem("source", args.nx, args.ny, None, 1, "1.0", "0.0")
     all_ok = True

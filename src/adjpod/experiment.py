@@ -10,8 +10,10 @@ Work that does not depend on the measurement noise is done once per
 process: ``build_problem`` keeps the last few problems (grid, operators,
 time grid), ``fem`` keeps the time-step factorizations of the last few
 (operators, dt) pairs, and the truth stage (truth field, its final state
-and solve time, the inverse-crime basis) is kept for the most recent
-arguments.  Each key holds every input of its result.
+and solve time, the inverse-crime basis, and once a run has asked for
+them the two fields' CSV texts and the final state's smoothness estimate)
+is kept for the most recent arguments.  Each key holds every input of its
+result.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from . import inversion, serialize
 from .fem import CoefficientSet, TimeGrid, assemble_operators
 from .fem import solve_forward  # noqa: F401 - traced by perfbench/spans.py
 from .grid import Grid2D, build_grid
-from .pod import PodBasis, principal_angles, snapshot_steps
+from .pod import PodBasis, principal_angles, snapshot_matrix
 from .reduced import (build_adjoint_pod, build_reduced_model, build_traditional_pod,
                       drive, reduced_solve)
 from .reduced import spod_matrix  # noqa: F401 - traced by perfbench/spans.py
@@ -326,32 +328,69 @@ def _pod_size(n_pod: int, energy: Optional[float]) -> dict:
     return {"energy_tol": energy} if energy is not None else {"n_modes": n_pod}
 
 
+@dataclass(frozen=True, eq=False)
+class TruthStage:
+    """What a run derives from the truth alone, the same for every noise
+    level, seed, detector layout and inversion setting: the truth field,
+    its final state, the wall time of the forward solve and the
+    inverse-crime basis.  Unpacks as that 4-tuple.
+
+    The CSV texts of the two fields and the smoothness estimate of the
+    final state are derived on first use and then kept with the entry, so
+    a run that needs none of them pays for none.
+    """
+
+    field: np.ndarray
+    final: np.ndarray
+    solve_s: float
+    traditional: PodBasis
+
+    def __iter__(self):
+        return iter((self.field, self.final, self.solve_s, self.traditional))
+
+    @functools.cached_property
+    def field_csv(self) -> str:
+        """The text of ``truth.csv``."""
+        return serialize.field_csv(self.traditional.grid, self.field)
+
+    @functools.cached_property
+    def final_csv(self) -> str:
+        """The text of ``final_state.csv``."""
+        return serialize.field_csv(self.traditional.grid, self.final)
+
+    @functools.cached_property
+    def smoothness(self) -> float:
+        """H2-norm estimate of the final state, read by ``alpha = auto``."""
+        return inversion.h2_norm_estimate(self.traditional.grid, self.traditional.ops,
+                                          self.final)
+
+
 @functools.lru_cache(maxsize=1)
 def _truth_stage(problem: tuple, truth: str, max_snapshots: int, n_pod: int,
-                 energy: Optional[float]) -> Tuple[np.ndarray, np.ndarray, float, PodBasis]:
-    """(truth field, final state, wall time of the forward solve,
-    inverse-crime basis) of the named truth on ``problem`` (the
-    ``build_problem`` tuple): what a run derives from the truth alone, the
-    same for every noise level, seed, detector layout and inversion setting.
+                 energy: Optional[float]) -> TruthStage:
+    """The ``TruthStage`` of the named truth on ``problem`` (the
+    ``build_problem`` tuple).
 
     Kept for the most recent arguments; its arrays are read-only, and a hit
     returns the solve time measured when the entry was built.  The forward
-    solve stores only the states the basis samples, and only the final one
-    outlives this call.  Failures are tagged with the stage that raised.
+    solve writes only the states the basis samples, straight into the
+    snapshot matrix of the basis, and only the final state outlives this
+    call.  Failures are tagged with the stage that raised.
     """
     kind, grid, ops, tg = problem
     with _stage("truth"):
         field = make_shape(truth, grid)
     with _stage("forward"):
+        steps, Y = snapshot_matrix(tg.M, max_snapshots, grid.n_nodes)
         t0 = time.perf_counter()
-        traj = drive(kind, field, ops, tg, steps=snapshot_steps(tg.M, max_snapshots))
+        traj = drive(kind, field, ops, tg, steps=steps, out=Y[:len(steps)])
         solve_s = time.perf_counter() - t0
     with _stage("basis"):
         traditional = build_traditional_pod(kind, traj, ops, max_snapshots=max_snapshots,
-                                            **_pod_size(n_pod, energy))
+                                            out=Y, **_pod_size(n_pod, energy))
     final = traj.final.copy()
     _read_only(field, final, traditional.psi, traditional.eigenvalues)
-    return field, final, solve_s, traditional
+    return TruthStage(field, final, solve_s, traditional)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
@@ -361,16 +400,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
     with _stage("setup"):
         problem = build_problem(cfg.kind, cfg.nx, cfg.ny, cfg.T, cfg.M, cfg.q, cfg.c)
         hits = _truth_stage.cache_info().hits
-        truth, u_final, full_solve_s, traditional = _truth_stage(
-            problem, cfg.truth, cfg.max_snapshots, cfg.n_pod, cfg.energy)
+        truth_stage = _truth_stage(problem, cfg.truth, cfg.max_snapshots, cfg.n_pod,
+                                   cfg.energy)
         forward_reused = _truth_stage.cache_info().hits > hits
     kind, grid, ops, tg = problem
+    truth, u_final, full_solve_s, traditional = truth_stage
 
     with _stage("truth"):
-        serialize.write_field_csv(os.path.join(out, "truth.csv"), grid, truth)
+        serialize.write_text(os.path.join(out, "truth.csv"), truth_stage.field_csv)
 
     with _stage("forward"):
-        serialize.write_field_csv(os.path.join(out, "final_state.csv"), grid, u_final)
+        serialize.write_text(os.path.join(out, "final_state.csv"), truth_stage.final_csv)
 
     with _stage("measure"):
         det_idx = detector_nodes(grid, cfg.detectors)
@@ -394,8 +434,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
             alpha_used = None
         else:
             if cfg.alpha == "auto":
-                smoothness = inversion.h2_norm_estimate(grid, ops, u_final)
-                alpha_used = inversion.select_alpha(ms.sigma, ms.n, smoothness)
+                alpha_used = inversion.select_alpha(ms.sigma, ms.n,
+                                                    truth_stage.smoothness)
             else:
                 alpha_used = float(cfg.alpha)
             m_field = inversion.denoise(ms, grid, alpha_used)

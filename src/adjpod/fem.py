@@ -230,9 +230,30 @@ def _stored_steps(tg: TimeGrid, steps: Optional[Sequence[int]]) -> np.ndarray:
     return out
 
 
+def out_array(out: Optional[np.ndarray], shape: tuple) -> np.ndarray:
+    """``out`` when it is a writeable C-contiguous float64 array of
+    ``shape``; a new uninitialized one when it is None.
+
+    The writers fill ``out`` through reshaped views and row slices, which
+    are views only on a C-contiguous array, so any other layout is
+    rejected rather than written into a silent copy.
+    """
+    if out is None:
+        return np.empty(shape)
+    if not (isinstance(out, np.ndarray) and out.shape == tuple(shape)
+            and out.dtype == np.float64 and out.flags.c_contiguous
+            and out.flags.writeable):
+        got = (f"{out.dtype} array of shape {out.shape}" if isinstance(out, np.ndarray)
+               else type(out).__name__)
+        raise ValueError(f"out must be a writeable C-contiguous float64 array of "
+                         f"shape {tuple(shape)}, got {got}")
+    return out
+
+
 def solve_forward(ops: DiscreteOperators, tg: TimeGrid,
                   f: np.ndarray, g: np.ndarray,
-                  steps: Optional[Sequence[int]] = None) -> Trajectory:
+                  steps: Optional[Sequence[int]] = None,
+                  out: Optional[np.ndarray] = None) -> Trajectory:
     """Backward-Euler trajectory of u_t + L u = f, u(0) = g, u = 0 on the boundary.
 
     Parameters
@@ -251,18 +272,27 @@ def solve_forward(ops: DiscreteOperators, tg: TimeGrid,
         stored states are the same bits as the matching rows of the full
         path.  None (the default) stores every state U_0 .. U_M; a short
         list keeps memory at ``len(steps) * n_nodes`` however large M is.
+    out : ndarray, optional
+        Where to store the states, numpy style: a writeable C-contiguous
+        float64 array of shape ``(len(steps), n_nodes)`` (M+1 rows when
+        ``steps`` is None).  Every entry is written, the boundary zeros
+        included, and the trajectory's ``states`` is ``out`` itself, so a
+        row block of a larger matrix (such as the first rows of a snapshot
+        matrix) receives the states without a separate buffer.  None (the
+        default) allocates a new array.
     """
     grid = ops.grid
     f = conform_dirichlet(grid, f, "source term")
     g = conform_dirichlet(grid, g, "initial state")
     steps = _stored_steps(tg, steps)
+    states = out_array(out, (len(steps), grid.n_nodes))
 
     idx = ops.interior
     dt = tg.dt
     lu, mass_ii = _stepper(ops, dt)
     load = dt * (ops.mass @ f)[idx]
 
-    states = np.zeros((len(steps), grid.n_nodes))
+    states[:, grid.boundary] = 0.0
     # grid.interior is the row-major block [1:-1, 1:-1] of the (ny, nx) node
     # array, so a state's interior values are written through this view
     inner = states.reshape(len(steps), grid.ny, grid.nx)[:, 1:-1, 1:-1]

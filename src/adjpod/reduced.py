@@ -19,37 +19,51 @@ import scipy.linalg
 
 from .fem import DiscreteOperators, TimeGrid, Trajectory, conform_dirichlet, solve_forward
 from .pod import (PodBasis, SnapshotSet, collect_snapshots, compute_pod_basis,
-                  snapshot_steps)
+                  snapshot_matrix)
 from .spectral import ProblemKind
 
 _ORTHO_TOL = 1e-10
 
 
 def drive(kind: ProblemKind, field: np.ndarray, ops: DiscreteOperators,
-          tg: TimeGrid, steps: Optional[Sequence[int]] = None) -> Trajectory:
+          tg: TimeGrid, steps: Optional[Sequence[int]] = None,
+          out: Optional[np.ndarray] = None) -> Trajectory:
     """Full-order trajectory of the heat equation driven by ``field``.
 
     Source kind: forcing = field, zero initial state.  Backward kind: zero
     forcing, initial state = field.  The field's boundary values are not
     touched, so ``solve_forward`` rejects a field that does not vanish there.
-    ``steps`` selects the stored states as in ``solve_forward``.
+    ``steps`` and ``out`` select and receive the stored states as in
+    ``solve_forward``.
     """
     zero = np.zeros(ops.grid.n_nodes)
     if ProblemKind.parse(kind) is ProblemKind.INVERSE_SOURCE:
-        return solve_forward(ops, tg, f=field, g=zero, steps=steps)
-    return solve_forward(ops, tg, f=zero, g=field, steps=steps)
+        return solve_forward(ops, tg, f=field, g=zero, steps=steps, out=out)
+    return solve_forward(ops, tg, f=zero, g=field, steps=steps, out=out)
+
+
+def _measurement_field(m: np.ndarray, ops: DiscreteOperators) -> np.ndarray:
+    """A copy of m with its boundary values set to zero; m must hold one
+    finite value per node."""
+    m = np.array(m, dtype=float)
+    if m.shape != (ops.grid.n_nodes,):
+        raise ValueError("measurement field length does not match node count")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("measurement field must be finite (found NaN or infinite values)")
+    m[ops.grid.boundary] = 0.0
+    return m
 
 
 def solve_adjoint(kind: ProblemKind, m: np.ndarray, ops: DiscreteOperators,
-                  tg: TimeGrid, steps: Optional[Sequence[int]] = None) -> Trajectory:
+                  tg: TimeGrid, steps: Optional[Sequence[int]] = None,
+                  out: Optional[np.ndarray] = None) -> Trajectory:
     """Full-order auxiliary trajectory driven by the measurement field m.
 
-    Boundary residue on m (for example left over from denoising) is
-    projected to zero before ``drive``; ``steps`` is passed on to it.
+    A non-finite m is rejected as the measurement field.  Boundary residue
+    on m (for example left over from denoising) is projected to zero before
+    ``drive``; ``steps`` and ``out`` are passed on to it.
     """
-    m = np.asarray(m, dtype=float).copy()
-    m[ops.grid.boundary] = 0.0
-    return drive(kind, m, ops, tg, steps=steps)
+    return drive(kind, _measurement_field(m, ops), ops, tg, steps=steps, out=out)
 
 
 def build_adjoint_pod(kind: ProblemKind, m: np.ndarray, ops: DiscreteOperators,
@@ -57,15 +71,18 @@ def build_adjoint_pod(kind: ProblemKind, m: np.ndarray, ops: DiscreteOperators,
                       energy_tol: Optional[float] = None,
                       max_snapshots: int = 201,
                       driver_label: str = "measured-data") -> PodBasis:
-    """Measurement-driven basis: auxiliary solve -> snapshots -> POD."""
-    # the auxiliary solve sees m on the interior only (see solve_adjoint)
-    if not np.any(np.asarray(m)[ops.interior] != 0.0):
+    """Measurement-driven basis: auxiliary solve -> snapshots -> POD.
+
+    The auxiliary solve writes its sampled states into the first rows of
+    the one snapshot matrix, and the difference quotients are formed in
+    place below them."""
+    # checked and projected as the auxiliary solve will see it
+    if not np.any(_measurement_field(m, ops)):
         raise ValueError("measurement field is identically zero: no snapshot energy")
-    # the auxiliary solve stores only the sampled states, and no name holds
-    # its trajectory: it is freed once its snapshots are collected
+    steps, Y = snapshot_matrix(tg.M, max_snapshots, ops.grid.n_nodes)
     snaps = collect_snapshots(
-        solve_adjoint(kind, m, ops, tg, steps=snapshot_steps(tg.M, max_snapshots)),
-        ops, max_snapshots=max_snapshots)
+        solve_adjoint(kind, m, ops, tg, steps=steps, out=Y[:len(steps)]),
+        ops, max_snapshots=max_snapshots, out=Y)
     return _pod_basis(kind, snaps, n_modes, energy_tol, max_snapshots,
                       "data-driven auxiliary parabolic solve", driver_label,
                       inverse_crime=False)
@@ -74,13 +91,16 @@ def build_adjoint_pod(kind: ProblemKind, m: np.ndarray, ops: DiscreteOperators,
 def build_traditional_pod(kind: ProblemKind, truth_trajectory: Trajectory,
                           ops: DiscreteOperators, n_modes: Optional[int] = None,
                           energy_tol: Optional[float] = None,
-                          max_snapshots: int = 201) -> PodBasis:
+                          max_snapshots: int = 201,
+                          out: Optional[np.ndarray] = None) -> PodBasis:
     """Truth-driven baseline basis (the inverse-crime comparison point).
 
     ``truth_trajectory`` must store the states at
     ``snapshot_steps(M, max_snapshots)``: a full path, or one solved with
-    exactly those ``steps``."""
-    snaps = collect_snapshots(truth_trajectory, ops, max_snapshots=max_snapshots)
+    exactly those ``steps``.  ``out`` is passed on to ``collect_snapshots``:
+    with the trajectory solved into its first rows, no state is copied."""
+    snaps = collect_snapshots(truth_trajectory, ops, max_snapshots=max_snapshots,
+                              out=out)
     return _pod_basis(kind, snaps, n_modes, energy_tol, max_snapshots,
                       "forward solve of the true problem", "ground-truth data",
                       inverse_crime=True)

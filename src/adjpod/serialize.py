@@ -42,13 +42,23 @@ def _parse_row(path, no: int, line: str) -> np.ndarray:
     return row
 
 
-def write_field_csv(path, grid: Grid2D, values: np.ndarray) -> None:
+def field_csv(grid: Grid2D, values: np.ndarray) -> str:
+    """The text ``write_field_csv`` writes for ``values``."""
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n_nodes,):
         raise ValueError("field length does not match node count")
     header = f"nx,ny,h\n{grid.nx},{grid.ny},{_FMT % grid.h}\n"
+    return header + _table(values.reshape(grid.ny, grid.nx)) + "\n"
+
+
+def write_text(path, text: str) -> None:
+    """Write already formatted artifact text, such as a ``field_csv``."""
     with open(path, "w") as fh:
-        fh.write(header + _table(values.reshape(grid.ny, grid.nx)) + "\n")
+        fh.write(text)
+
+
+def write_field_csv(path, grid: Grid2D, values: np.ndarray) -> None:
+    write_text(path, field_csv(grid, values))
 
 
 def read_field_csv(path) -> Tuple[Grid2D, np.ndarray]:

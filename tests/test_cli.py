@@ -153,6 +153,18 @@ def test_verify_theory_rejects_zero_levels(capsys):
     assert "Traceback" not in text
 
 
+def test_verify_theory_rejects_non_integer_levels(capsys):
+    code = main(["verify-theory", "--levels", "abc", "--nx", "9", "--ny", "9"])
+    assert code == 1
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    fails = [line for line in text.splitlines() if "FAIL" in line]
+    assert len(fails) == 1
+    assert "--levels" in fails[0] and "comma-separated positive integers" in fails[0]
+    assert "'abc'" in fails[0] and "int()" not in fails[0]
+    assert "Traceback" not in text
+
+
 def test_run_example_cross_basis(tmp_path, capsys):
     out = tmp_path / "ex47"
     code = main(["run-example", "4.7", "--out", str(out)])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import adjpod.reduced
 from adjpod import (CoefficientSet, ExperimentConfig, InverseConfig, TimeGrid,
                     assemble_operators, build_adjoint_pod, build_grid,
                     build_reduced_model, compute_pod_basis, gradient_of_J,
@@ -149,6 +150,20 @@ def test_forward_solve_rejects_a_nan_source(grid, ops):
     f[grid.interior[3]] = math.nan
     with pytest.raises(ValueError, match="source term must be finite"):
         solve_forward(ops, TimeGrid(T=0.1, M=2), f=f, g=np.zeros(grid.n_nodes))
+
+
+@pytest.mark.parametrize("kind", ["source", "backward"])
+@pytest.mark.parametrize("bad", BAD)
+def test_adjoint_pod_rejects_a_non_finite_measurement_field_before_solving(
+        grid, ops, monkeypatch, kind, bad):
+    m = np.sin(grid.coords[:, 0]) * np.sin(grid.coords[:, 1])
+    m[grid.interior[2]] = bad
+    solves = []
+    monkeypatch.setattr(adjpod.reduced, "solve_forward",
+                        lambda *args, **kwargs: solves.append(args))
+    with pytest.raises(ValueError, match="measurement field must be finite"):
+        build_adjoint_pod(kind, m, ops, TimeGrid(T=0.4, M=8), n_modes=4)
+    assert solves == []
 
 
 def test_cli_forward_rejects_a_nan_field(tmp_path, capsys):

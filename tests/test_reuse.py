@@ -22,7 +22,7 @@ import adjpod.fem
 from adjpod import (CoefficientSet, ExperimentConfig, TimeGrid, assemble_operators,
                     build_grid, build_problem, make_shape, read_json,
                     run_experiment, solve_forward)
-from adjpod import experiment
+from adjpod import experiment, inversion, serialize
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -136,6 +136,34 @@ def test_the_truth_memo_keys_on_the_resolved_final_time(tmp_path):
     run_experiment(replace(cfg, T=None), str(tmp_path / "default"))
     metrics = run_experiment(replace(cfg, T=1.0), str(tmp_path / "explicit"))
     assert metrics["timings"]["forward_reused"] is True
+
+
+def test_the_truth_memo_formats_its_fields_and_estimates_smoothness_once(
+        tmp_path, monkeypatch):
+    """The two truth-derived CSVs are formatted once per memo entry, and
+    the smoothness estimate only when a noisy run selects alpha itself."""
+    cfg = replace(BASE, truth="sin1", M=7)     # used by no other test
+    formatted, estimates = [], []
+    field_csv, h2_norm_estimate = serialize.field_csv, inversion.h2_norm_estimate
+    monkeypatch.setattr(serialize, "field_csv", lambda grid, values: (
+        formatted.append(values) or field_csv(grid, values)))
+    monkeypatch.setattr(inversion, "h2_norm_estimate", lambda *args: (
+        estimates.append(args) or h2_norm_estimate(*args)))
+    run_experiment(replace(cfg, noise=0.0), str(tmp_path / "clean"))
+    run_experiment(replace(cfg, alpha="1e-6"), str(tmp_path / "fixed_alpha"))
+    assert estimates == []
+    for seed in (1, 2):
+        run_experiment(replace(cfg, seed=seed), str(tmp_path / f"auto{seed}"))
+    assert len(estimates) == 1
+    truth_stage = experiment._truth_stage(
+        build_problem(cfg.kind, cfg.nx, cfg.ny, cfg.T, cfg.M, cfg.q, cfg.c),
+        cfg.truth, cfg.max_snapshots, cfg.n_pod, cfg.energy)
+    assert sum(values is truth_stage.field for values in formatted) == 1
+    assert sum(values is truth_stage.final for values in formatted) == 1
+    grid = truth_stage.traditional.grid
+    for name, values in (("truth.csv", truth_stage.field),
+                         ("final_state.csv", truth_stage.final)):
+        assert (tmp_path / "auto2" / name).read_text() == field_csv(grid, values)
 
 
 def test_equal_problems_share_one_setup():

@@ -1,9 +1,11 @@
 """The bounded-memory snapshot path: a solve stores only the sampled states,
-and POD forms its mass products a block of snapshot rows at a time.
+straight into the first rows of the snapshot matrix, and POD forms its mass
+products a block of snapshot rows at a time.
 
 Every result must be the same bits as on the full trajectory with the
-one-shot products, and the memory of ``build_adjoint_pod`` must not grow
-with the number of time steps.
+one-shot products, the memory of ``build_adjoint_pod`` must not grow with
+the number of time steps, and no trajectory-sized buffer may exist besides
+the snapshot matrix.
 """
 
 import tracemalloc
@@ -11,10 +13,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import adjpod.reduced
 from adjpod import (CoefficientSet, TimeGrid, assemble_operators, build_adjoint_pod,
-                    build_grid, collect_snapshots, compute_pod_basis, correlation_matrix,
-                    make_shape, projection_error_ratio, solve_forward)
-from adjpod.pod import snapshot_steps
+                    build_grid, build_problem, collect_snapshots, compute_pod_basis,
+                    correlation_matrix, drive, make_shape, projection_error_ratio,
+                    solve_forward)
+from adjpod import experiment
+from adjpod.pod import snapshot_matrix, snapshot_steps
 
 
 @pytest.fixture(scope="module")
@@ -195,3 +200,121 @@ def test_adjoint_pod_memory_does_not_grow_with_the_step_count():
         build_adjoint_pod("source", m, ops, tg, n_modes=9)    # factorizes this dt
         peaks[M] = _traced_peak(lambda: build_adjoint_pod("source", m, ops, tg, n_modes=9))
     assert peaks[2000] <= 1.2 * peaks[100], peaks
+
+
+# ------------------------------------------------------------ solving into the snapshot matrix
+
+@pytest.mark.parametrize("kind", ["source", "backward"])
+@pytest.mark.parametrize("M", [10, 37, 400])
+@pytest.mark.parametrize("budget", [5, 9, 201])
+def test_the_in_place_snapshot_matrix_is_the_full_path_snapshot_set(grid, ops, kind,
+                                                                     M, budget):
+    tg = TimeGrid(T=0.5, M=M)
+    field = _fields(grid)[0]
+    reference = collect_snapshots(drive(kind, field, ops, tg), ops, max_snapshots=budget)
+    steps, Y = snapshot_matrix(M, budget, grid.n_nodes)
+    Y.fill(np.nan)                  # every entry must be written, boundary zeros too
+    traj = drive(kind, field, ops, tg, steps=steps, out=Y[:len(steps)])
+    assert np.shares_memory(traj.states, Y) and np.array_equal(traj.steps, steps)
+    snaps = collect_snapshots(traj, ops, max_snapshots=budget, out=Y)
+    assert snaps.snapshots is Y
+    assert np.array_equal(Y, reference.snapshots)
+    assert np.array_equal(snaps.times, reference.times)
+    assert snaps.m_steps == reference.m_steps
+
+
+@pytest.mark.parametrize("M,budget", [(10, 5), (12, 201)])
+def test_a_separate_trajectory_is_copied_into_out(grid, ops, M, budget):
+    tg = TimeGrid(T=0.5, M=M)
+    f, g = _fields(grid, seed=5)
+    full = solve_forward(ops, tg, f, g)
+    reference = collect_snapshots(full, ops, max_snapshots=budget)
+    buffer = np.full(reference.snapshots.shape, np.nan)
+    snaps = collect_snapshots(full, ops, max_snapshots=budget, out=buffer)
+    assert snaps.snapshots is buffer and np.array_equal(buffer, reference.snapshots)
+    # a whole path solved into a caller's array, with garbage in it beforehand
+    states = np.full((M + 1, grid.n_nodes), np.nan)
+    assert solve_forward(ops, tg, f, g, out=states).states is states
+    assert np.array_equal(states, full.states)
+
+
+def _bad_outs(shape):
+    rows, cols = shape
+    return [np.empty((rows - 1, cols)), np.empty((rows, cols + 1)),
+            np.empty(rows * cols), np.empty(shape, dtype=np.float32),
+            np.empty(shape, dtype=int), np.empty(shape, order="F"),
+            np.empty((rows, 2 * cols))[:, ::2], np.empty(shape).tolist()]
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_solve_forward_rejects_a_wrong_out(grid, ops, case):
+    f, g = _fields(grid)
+    steps = snapshot_steps(20, 9)
+    out = _bad_outs((len(steps), grid.n_nodes))[case]
+    with pytest.raises(ValueError, match="out must be a writeable C-contiguous float64"):
+        solve_forward(ops, TimeGrid(T=0.5, M=20), f, g, steps=steps, out=out)
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_collect_snapshots_rejects_a_wrong_out(grid, ops, case):
+    f, g = _fields(grid)
+    traj = solve_forward(ops, TimeGrid(T=0.5, M=20), f, g)
+    out = _bad_outs((9, grid.n_nodes))[case]
+    with pytest.raises(ValueError, match="out must be a writeable C-contiguous float64"):
+        collect_snapshots(traj, ops, max_snapshots=9, out=out)
+
+
+def test_collect_snapshots_rejects_read_only_and_overlapping_outs(grid, ops):
+    tg = TimeGrid(T=0.5, M=20)
+    f, g = _fields(grid)
+    steps, Y = snapshot_matrix(20, 9, grid.n_nodes)
+    Y.flags.writeable = False
+    with pytest.raises(ValueError, match="out must be a writeable"):
+        solve_forward(ops, tg, f, g, steps=steps, out=Y[:len(steps)])
+    # states solved into rows that are not the first ones of out
+    steps, Y = snapshot_matrix(20, 9, grid.n_nodes)
+    traj = solve_forward(ops, tg, f, g, steps=steps, out=Y[1:len(steps) + 1])
+    with pytest.raises(ValueError, match="overlaps the trajectory's states"):
+        collect_snapshots(traj, ops, max_snapshots=9, out=Y)
+
+
+def _peak_until_pod(monkeypatch, call) -> int:
+    """Traced peak (bytes above the start) from ``call()`` until it enters
+    ``compute_pod_basis``."""
+    peaks = []
+    pod = adjpod.reduced.compute_pod_basis
+
+    def entered(*args, **kwargs):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return pod(*args, **kwargs)
+
+    monkeypatch.setattr(adjpod.reduced, "compute_pod_basis", entered)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1
+    return peaks[0] - base
+
+
+@pytest.mark.parametrize("kind", ["source", "backward"])
+def test_no_trajectory_buffer_besides_the_snapshot_matrix(monkeypatch, kind):
+    """Up to POD, the auxiliary and the truth solve hold the snapshot matrix
+    and field-sized vectors, not a separate (m+1)-row trajectory (which would
+    put the peak near 1.5x the matrix)."""
+    problem = build_problem(kind, 33, 33, None, 400, "1.0", "0.0")
+    _, grid, ops, tg = problem
+    steps = snapshot_steps(tg.M, 201)
+    matrix_bytes = (2 * len(steps) - 1) * grid.n_nodes * 8
+    m = make_shape("sin2", grid)
+    build_adjoint_pod(kind, m, ops, tg, n_modes=9)            # factorizes this dt
+    peak = _peak_until_pod(monkeypatch,
+                           lambda: build_adjoint_pod(kind, m, ops, tg, n_modes=9))
+    assert peak <= 1.15 * matrix_bytes, (peak, matrix_bytes)
+
+    experiment._truth_stage.cache_clear()
+    peak = _peak_until_pod(monkeypatch,
+                           lambda: experiment._truth_stage(problem, "sin2exp", 201, 9, None))
+    assert peak <= 1.15 * matrix_bytes, (peak, matrix_bytes)

@@ -8,20 +8,27 @@ uninstalling the tracer here keeps that breakage inside the fast suite.
 
 import importlib.util
 import pathlib
+import sys
 
 import numpy as np
 
 import adjpod
 import adjpod.experiment
 
-SPANS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("spans")
 
 
 def test_tracer_installs_on_every_site_and_uninstalls():
@@ -58,3 +65,22 @@ def test_traced_run_counts_every_step_and_digests_each_driver(tmp_path):
                                 adjpod.make_shape(cfg.truth, grid),
                                 np.zeros(grid.n_nodes))
     assert truth_solve in tracer.solve_digests
+
+
+def test_a_noisy_direct_run_enters_every_span_the_benchmark_declares(tmp_path):
+    """A lookup site that the pipeline bypasses records zero calls, which
+    ``check_active`` reports as the benchmark would."""
+    spans = _load_spans()
+    direct_idle = _load("workloads")._DIRECT_IDLE
+    cfg = adjpod.ExperimentConfig(nx=9, ny=9, M=5, truth="sin2exp", n_pod=3,
+                                  detectors="7x7", noise=0.1, seed=2)
+    adjpod.experiment._problem.cache_clear()      # grid and operators are built here
+    adjpod.experiment._truth_stage.cache_clear()  # and the truth solve runs here
+    with spans.Tracer() as tracer:
+        adjpod.run_experiment(cfg, str(tmp_path / "cold"))
+        adjpod.run_experiment(cfg, str(tmp_path / "warm"))
+    tracer.check_active(direct_idle)
+    layers = tracer.metrics()
+    assert layers["fem.solve_forward.calls"] == 3     # one truth, two auxiliary
+    assert layers["fem.steps"] == 3 * cfg.M
+    assert layers["inversion.h2_norm_estimate.calls"] == 1   # once per final state

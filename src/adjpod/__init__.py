@@ -22,7 +22,7 @@ from .pod import (PodBasis, SnapshotSet, collect_snapshots, compute_pod_basis,
                   snapshot_steps)
 from .reduced import (ReducedModel, build_adjoint_pod, build_reduced_model,
                       build_traditional_pod, drive, reduced_solve,
-                      solve_adjoint, spod_matrix)
+                      snapshot_set, solve_adjoint, spod_matrix)
 from .experiment import (ExperimentConfig, StageError, auto_lambda,
                          build_problem, detector_nodes,
                          hminus1_surrogate_error, load_config,

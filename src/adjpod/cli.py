@@ -266,15 +266,19 @@ def _sweep_one(job) -> tuple:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     overrides = tuple(args.set or [])
     jobs = []
     for path in args.configs:
         stem = os.path.splitext(os.path.basename(path))[0]
         jobs.append((path, overrides, os.path.join(args.out, stem)))
-    if args.jobs == 1 or len(jobs) == 1:
+    workers = min(args.jobs, len(jobs))
+    if workers == 1:
         results = [_sweep_one(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a forked pool starts all its workers at the first submit: one per config
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, jobs))
     all_ok = True
     rows = []
@@ -366,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                    help="override applied to every config (repeatable)")
     p.add_argument("--out", default="sweep_out")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                   help="worker processes, at most one per config")
     p.set_defaults(handler=_cmd_sweep)
 
     return parser

@@ -13,7 +13,9 @@ time grid), ``fem`` keeps the time-step factorizations of the last few
 and solve time, the inverse-crime basis, and once a run has asked for
 them the two fields' CSV texts and the final state's smoothness estimate)
 is kept for the most recent arguments.  Each key holds every input of its
-result.
+result.  Both POD bases come from ``reduced``: the truth stage passes the
+truth's ``snapshot_set`` to ``build_traditional_pod``, and the basis stage
+calls ``build_adjoint_pod`` on the measured (or a foreign) field.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from . import inversion, serialize
 from .fem import CoefficientSet, TimeGrid, assemble_operators
 from .fem import solve_forward  # noqa: F401 - traced by perfbench/spans.py
 from .grid import Grid2D, build_grid
-from .pod import PodBasis, principal_angles, snapshot_matrix
+from .pod import PodBasis, principal_angles
 from .reduced import (build_adjoint_pod, build_reduced_model, build_traditional_pod,
-                      drive, reduced_solve)
+                      reduced_solve, snapshot_set)
 from .reduced import spod_matrix  # noqa: F401 - traced by perfbench/spans.py
 from .shapes import make_shape
 from .spectral import ProblemKind, project_onto_modes
@@ -333,7 +335,7 @@ class TruthStage:
     """What a run derives from the truth alone, the same for every noise
     level, seed, detector layout and inversion setting: the truth field,
     its final state, the wall time of the forward solve and the
-    inverse-crime basis.  Unpacks as that 4-tuple.
+    inverse-crime basis.
 
     The CSV texts of the two fields and the smoothness estimate of the
     final state are derived on first use and then kept with the entry, so
@@ -344,9 +346,6 @@ class TruthStage:
     final: np.ndarray
     solve_s: float
     traditional: PodBasis
-
-    def __iter__(self):
-        return iter((self.field, self.final, self.solve_s, self.traditional))
 
     @functools.cached_property
     def field_csv(self) -> str:
@@ -373,22 +372,20 @@ def _truth_stage(problem: tuple, truth: str, max_snapshots: int, n_pod: int,
 
     Kept for the most recent arguments; its arrays are read-only, and a hit
     returns the solve time measured when the entry was built.  The forward
-    solve writes only the states the basis samples, straight into the
-    snapshot matrix of the basis, and only the final state outlives this
-    call.  Failures are tagged with the stage that raised.
+    solve is the truth's ``snapshot_set``, and of its snapshot matrix only
+    a copy of the final state outlives this call.  Failures are tagged with
+    the stage that raised.
     """
     kind, grid, ops, tg = problem
     with _stage("truth"):
         field = make_shape(truth, grid)
     with _stage("forward"):
-        steps, Y = snapshot_matrix(tg.M, max_snapshots, grid.n_nodes)
         t0 = time.perf_counter()
-        traj = drive(kind, field, ops, tg, steps=steps, out=Y[:len(steps)])
+        snapshots = snapshot_set(kind, field, ops, tg, max_snapshots)
         solve_s = time.perf_counter() - t0
     with _stage("basis"):
-        traditional = build_traditional_pod(kind, traj, ops, max_snapshots=max_snapshots,
-                                            out=Y, **_pod_size(n_pod, energy))
-    final = traj.final.copy()
+        traditional = build_traditional_pod(kind, snapshots, **_pod_size(n_pod, energy))
+    final = snapshots.states[-1].copy()
     _read_only(field, final, traditional.psi, traditional.eigenvalues)
     return TruthStage(field, final, solve_s, traditional)
 
@@ -404,7 +401,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
                                    cfg.energy)
         forward_reused = _truth_stage.cache_info().hits > hits
     kind, grid, ops, tg = problem
-    truth, u_final, full_solve_s, traditional = truth_stage
+    truth, u_final = truth_stage.field, truth_stage.final
+    traditional = truth_stage.traditional
 
     with _stage("truth"):
         serialize.write_text(os.path.join(out, "truth.csv"), truth_stage.field_csv)
@@ -480,7 +478,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
         else:
             icfg = inversion.InverseConfig(lam=lam, beta=cfg.beta,
                                            max_iters=cfg.max_iters,
-                                           grad_tol=cfg.grad_tol, mode="gradient")
+                                           grad_tol=cfg.grad_tol)
             f_r, history = inversion.tikhonov_gradient_descent_reduced(model, m_r, icfg)
             iterations = len(history) - 1
         recovered = basis.expand(f_r)
@@ -514,10 +512,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
                 "rel_l2_final_state_gap": relative_l2_error(ops, reduced_final, u_final),
             },
             "timings": {
-                "full_solve_s": full_solve_s,
+                "full_solve_s": truth_stage.solve_s,
                 "forward_reused": forward_reused,
                 "reduced_solve_s": reduced_solve_s,
-                "speedup": full_solve_s / reduced_solve_s if reduced_solve_s > 0
+                "speedup": truth_stage.solve_s / reduced_solve_s if reduced_solve_s > 0
                            else np.inf,
             },
         }
@@ -642,8 +640,9 @@ def _example_cross_basis(base, out_root):
 
     problem = build_problem(cfg.kind, cfg.nx, cfg.ny, cfg.T, cfg.M, cfg.q, cfg.c)
     kind, grid, ops, tg = problem
-    truth, m, *_ = _truth_stage(problem, cfg.truth, cfg.max_snapshots, cfg.n_pod,
-                                cfg.energy)     # m is zero on the boundary
+    truth_stage = _truth_stage(problem, cfg.truth, cfg.max_snapshots, cfg.n_pod,
+                               cfg.energy)
+    truth, m = truth_stage.field, truth_stage.final     # m is zero on the boundary
 
     source_tg = TimeGrid(T=DEFAULT_T[ProblemKind.INVERSE_SOURCE], M=cfg.M)
     basis = build_adjoint_pod(ProblemKind.INVERSE_SOURCE, m, ops, source_tg,

@@ -122,12 +122,14 @@ def denoise(ms: MeasurementSet, grid: Grid2D, alpha: float) -> np.ndarray:
     imposes the known homogeneous boundary values, which makes the
     interior normal system positive-definite for alpha > 0 (a discrete
     harmonic function vanishing on the boundary is zero); readings at
-    boundary detectors therefore do not influence the fit.  The
+    boundary detectors therefore do not influence the fit.  alpha must be
+    finite, and an alpha whose penalty overflows the normal matrix (or
+    underflows so that it is singular) is rejected, naming alpha.  The
     factorization is kept for the most recent grid shape, detector layout
     and alpha, so readings that differ only in their values reuse it.
     """
-    if not alpha > 0:
-        raise ValueError(f"denoising weight alpha must be positive, got {alpha}")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"denoising weight alpha must be finite and positive, got {alpha}")
     nodes = snap_detectors_to_nodes(grid, ms.detectors)
     P, lu = _denoise_factors(grid, nodes, alpha)
     idx = grid.interior
@@ -155,12 +157,16 @@ def _denoise_factors(grid: Grid2D, nodes: np.ndarray, alpha: float):
     P = sp.coo_matrix((np.ones(n), (np.arange(n), nodes)), shape=(n, grid.n_nodes)).tocsr()
     B = laplacian_stencil(grid)
     cell = grid.hx * grid.hy
-    H = (P.T @ P) / n + (alpha * cell) * (B.T @ B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = (P.T @ P) / n + (alpha * cell) * (B.T @ B)
+    if not np.all(np.isfinite(H.data)):
+        raise ValueError(f"denoising weight alpha={alpha} overflows the denoise "
+                         f"normal matrix on this grid")
     idx = grid.interior
     try:
         lu = splu(H[np.ix_(idx, idx)].tocsc())
-    except RuntimeError as exc:  # pragma: no cover - PD by construction
-        raise RuntimeError(f"internal error: denoise system not solvable ({exc})")
+    except RuntimeError as exc:     # a penalty that underflows leaves it singular
+        raise ValueError(f"denoise system with alpha={alpha} is singular ({exc})") from None
     _DENOISE_MEMO[key] = (P, lu)
     return P, lu
 
@@ -171,14 +177,18 @@ def select_alpha(sigma: float, n: int, h2_norm_estimate: float) -> float:
     alpha = (sigma / sqrt(n) / ||u||_{H2})^(4/3), floored at 1e-14 so the
     noise-free limit still yields a positive-definite denoise system.
     """
-    if sigma < 0:
-        raise ValueError(f"noise scale must be >= 0, got {sigma}")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"noise scale sigma must be finite and >= 0, got {sigma}")
     if n < 1:
         raise ValueError(f"need at least one detector, got {n}")
     if not h2_norm_estimate > 0:
         raise ValueError("smoothness-norm estimate must be positive")
     ratio = sigma / np.sqrt(n) / h2_norm_estimate
-    return max(float(ratio ** (4.0 / 3.0)), ALPHA_FLOOR)
+    with np.errstate(over="ignore"):
+        alpha = float(ratio ** (4.0 / 3.0))
+    if not np.isfinite(alpha):
+        raise ValueError(f"noise scale sigma={sigma} overflows the denoising weight alpha")
+    return max(alpha, ALPHA_FLOOR)
 
 
 def h2_norm_estimate(grid: Grid2D, ops: DiscreteOperators, values: np.ndarray) -> float:
@@ -214,8 +224,6 @@ class InverseConfig:
     beta: Optional[float] = None          # step size; default 1/(s_max^2 + lam)
     max_iters: int = 5000
     grad_tol: Optional[float] = None      # default 1e-10 * (initial grad norm + 1)
-    mode: str = "direct"                  # "direct" | "gradient"
-    initial: Optional[np.ndarray] = None  # reduced-coordinate start, default 0
 
     def __post_init__(self):
         _check_lam(self.lam)
@@ -227,8 +235,6 @@ class InverseConfig:
                 f"gradient tolerance must be finite and >= 0, got {self.grad_tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.mode not in ("direct", "gradient"):
-            raise ValueError(f"unknown solver mode {self.mode!r}")
 
 
 def tikhonov_objective(model: ReducedModel, f_r: np.ndarray, m_r: np.ndarray,
@@ -261,10 +267,11 @@ def tikhonov_gradient_descent_reduced(model: ReducedModel, m_r: np.ndarray,
                                       cfg: InverseConfig):
     """Gradient iteration in reduced coordinates; returns (f_r, J history).
 
-    The iteration runs on the eigen-coordinates z = Q^T f, where the step
-    f <- f - beta grad J is diagonal; the gradient norm, J and hence the
-    stopping rule are the same as in the original coordinates.  The loop
-    only steps; J is evaluated on the recorded iterates once it ends.
+    The iteration starts from f = 0 and runs on the eigen-coordinates
+    z = Q^T f, where the step f <- f - beta grad J is diagonal; the gradient
+    norm, J and hence the stopping rule are the same as in the original
+    coordinates.  The loop only steps; J is evaluated on the recorded
+    iterates once it ends.
     """
     w, Q = model.spectrum
     bound = descent_step_bound(model, cfg.lam)
@@ -273,13 +280,9 @@ def tikhonov_gradient_descent_reduced(model: ReducedModel, m_r: np.ndarray,
         raise ValueError(
             f"step size {beta} violates the stability bound: need beta < {bound}")
 
-    f = np.array(cfg.initial, dtype=float) if cfg.initial is not None \
-        else np.zeros(model.n_pod)
-    if f.shape != (model.n_pod,):
-        raise ValueError("initial guess must match the basis size")
     m_r = _finite(m_r, "measurement coefficients m_r")
 
-    z = Q.T @ f
+    z = np.zeros(model.n_pod)
     n = Q.T @ m_r
     curvature = w * w + cfg.lam
     wn = w * n

@@ -7,15 +7,15 @@ matrix K_ij = (y_i, y_j)_{L2} in the mass-weighted inner product — never
 from the node-dimension Gram matrix — so the cost is mesh independent.
 Only the states at ``snapshot_steps(M, max_snapshots)`` enter, so a solve
 can store just those, straight into the first rows of the snapshot matrix
-(``snapshot_matrix``), and the mass products are formed a block of
-snapshot rows at a time: the memory of the snapshot path grows with
+(``reduced.snapshot_set`` does), and the mass products are formed a block
+of snapshot rows at a time: the memory of the snapshot path grows with
 ``max_snapshots * n_nodes``, not with M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -34,6 +34,7 @@ class SnapshotSet:
     ops: DiscreteOperators
     m_steps: int                # M of the (possibly subsampled) time grid
     times: np.ndarray           # sample times of the states
+    max_snapshots: int          # the budget the states were sampled to
 
     @property
     def count(self) -> int:
@@ -99,19 +100,6 @@ def snapshot_steps(M: int, max_snapshots: int = 201) -> np.ndarray:
     return np.rint(np.linspace(0, M, (max_snapshots - 1) // 2 + 1)).astype(int)
 
 
-def snapshot_matrix(M: int, max_snapshots: int,
-                    n_nodes: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(steps, Y): ``steps = snapshot_steps(M, max_snapshots)`` and an
-    uninitialized (2m+1, n_nodes) snapshot matrix for them, m+1 = len(steps).
-
-    Solving with ``steps=steps, out=Y[:len(steps)]`` writes the sampled
-    states straight into the rows where ``collect_snapshots(...,
-    out=Y)`` keeps them, so no trajectory-sized buffer exists besides Y.
-    """
-    steps = snapshot_steps(M, max_snapshots)
-    return steps, np.empty((2 * len(steps) - 1, n_nodes))
-
-
 def collect_snapshots(traj: Trajectory, ops: DiscreteOperators,
                       max_snapshots: int = 201,
                       out: Optional[np.ndarray] = None) -> SnapshotSet:
@@ -123,12 +111,12 @@ def collect_snapshots(traj: Trajectory, ops: DiscreteOperators,
     formed between neighbouring sampled states, scaled by the actual time
     gaps.
 
-    ``out`` is the (2M'+1, n_nodes) snapshot matrix to fill, numpy style
-    (a writeable C-contiguous float64 array; None allocates one), and
-    becomes the set's ``snapshots``.  When the trajectory's states already
-    are its first M'+1 rows (solved with ``out=out[:M'+1]``, see
-    ``snapshot_matrix``) no row is copied and only the quotients are
-    formed, in place; any other overlap with the states is rejected.
+    ``out=None`` copies the states from the trajectory into a new
+    snapshot matrix.  Otherwise ``out`` is the (2M'+1, n_nodes) snapshot
+    matrix (a writeable C-contiguous float64 array) whose first M'+1 rows
+    already are the trajectory's states, solved into them with
+    ``steps=snapshot_steps(M, max_snapshots), out=out[:M'+1]``; only the
+    quotients are formed, in place below them.
     """
     idx = snapshot_steps(traj.tg.M, max_snapshots)
     if not np.all(np.isin(idx, traj.steps)):
@@ -137,18 +125,16 @@ def collect_snapshots(traj: Trajectory, ops: DiscreteOperators,
     m = len(idx) - 1
     snapshots = out_array(out, (2 * m + 1, traj.states.shape[1]))
     states, quotients = snapshots[:m + 1], snapshots[m + 1:]
-    solved_in_place = (traj.states.shape == states.shape
-                       and traj.states.strides == states.strides
-                       and traj.states.ctypes.data == states.ctypes.data)
-    if not solved_in_place:
-        if np.may_share_memory(snapshots, traj.states):
-            raise ValueError("out overlaps the trajectory's states without holding "
-                             "them as its first rows")
+    if out is None:
         for i, row in enumerate(np.searchsorted(traj.steps, idx)):
             states[i] = traj.states[row]    # row copies: no gathered temporary
+    elif not (traj.states.shape == states.shape and traj.states.strides == states.strides
+              and traj.states.ctypes.data == states.ctypes.data):
+        raise ValueError("out must hold the trajectory's states as its first rows")
     np.subtract(states[1:], states[:-1], out=quotients)
     quotients /= np.diff(times)[:, None]
-    return SnapshotSet(snapshots=snapshots, ops=ops, m_steps=m, times=times)
+    return SnapshotSet(snapshots=snapshots, ops=ops, m_steps=m, times=times,
+                       max_snapshots=max_snapshots)
 
 
 def _as_matrix(snapshots) -> np.ndarray:

@@ -3,9 +3,11 @@
 The basis is built from an auxiliary full-order parabolic solve that is
 driven only by the measured final-time data m — with m as the right-hand
 side (source recovery) or as the initial state (backward recovery) — so
-no knowledge of the unknown truth leaks into the basis.  The reduced
-model then realizes the final-time solution operator as a small dense
-matrix acting on basis coefficients.
+no knowledge of the unknown truth leaks into the basis.  ``snapshot_set``
+runs such a solve for any driving field, the truth included (the
+inverse-crime baseline), and is the one place that lays out the snapshot
+matrix.  The reduced model then realizes the final-time solution operator
+as a small dense matrix acting on basis coefficients.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import scipy.linalg
 
 from .fem import DiscreteOperators, TimeGrid, Trajectory, conform_dirichlet, solve_forward
 from .pod import (PodBasis, SnapshotSet, collect_snapshots, compute_pod_basis,
-                  snapshot_matrix)
+                  snapshot_steps)
 from .spectral import ProblemKind
 
 _ORTHO_TOL = 1e-10
@@ -55,15 +57,30 @@ def _measurement_field(m: np.ndarray, ops: DiscreteOperators) -> np.ndarray:
 
 
 def solve_adjoint(kind: ProblemKind, m: np.ndarray, ops: DiscreteOperators,
-                  tg: TimeGrid, steps: Optional[Sequence[int]] = None,
-                  out: Optional[np.ndarray] = None) -> Trajectory:
+                  tg: TimeGrid) -> Trajectory:
     """Full-order auxiliary trajectory driven by the measurement field m.
 
     A non-finite m is rejected as the measurement field.  Boundary residue
     on m (for example left over from denoising) is projected to zero before
-    ``drive``; ``steps`` and ``out`` are passed on to it.
+    ``drive``.
     """
-    return drive(kind, _measurement_field(m, ops), ops, tg, steps=steps, out=out)
+    return drive(kind, _measurement_field(m, ops), ops, tg)
+
+
+def snapshot_set(kind: ProblemKind, field: np.ndarray, ops: DiscreteOperators,
+                 tg: TimeGrid, max_snapshots: int = 201) -> SnapshotSet:
+    """Snapshot set of the heat equation driven by ``field`` as in ``drive``.
+
+    Allocates the one (2m+1, n_nodes) snapshot matrix Y, m+1 the number of
+    ``snapshot_steps(M, max_snapshots)``.  The solve writes the sampled
+    states straight into Y's first m+1 rows and the difference quotients
+    are formed in place below them, so no trajectory-sized buffer exists
+    besides Y.
+    """
+    steps = snapshot_steps(tg.M, max_snapshots)
+    Y = np.empty((2 * len(steps) - 1, ops.grid.n_nodes))
+    return collect_snapshots(drive(kind, field, ops, tg, steps=steps, out=Y[:len(steps)]),
+                             ops, max_snapshots=max_snapshots, out=Y)
 
 
 def build_adjoint_pod(kind: ProblemKind, m: np.ndarray, ops: DiscreteOperators,
@@ -73,49 +90,36 @@ def build_adjoint_pod(kind: ProblemKind, m: np.ndarray, ops: DiscreteOperators,
                       driver_label: str = "measured-data") -> PodBasis:
     """Measurement-driven basis: auxiliary solve -> snapshots -> POD.
 
-    The auxiliary solve writes its sampled states into the first rows of
-    the one snapshot matrix, and the difference quotients are formed in
-    place below them."""
-    # checked and projected as the auxiliary solve will see it
-    if not np.any(_measurement_field(m, ops)):
+    m is checked and its boundary projected to zero as in ``solve_adjoint``,
+    then drives ``snapshot_set``."""
+    field = _measurement_field(m, ops)
+    if not np.any(field):
         raise ValueError("measurement field is identically zero: no snapshot energy")
-    steps, Y = snapshot_matrix(tg.M, max_snapshots, ops.grid.n_nodes)
-    snaps = collect_snapshots(
-        solve_adjoint(kind, m, ops, tg, steps=steps, out=Y[:len(steps)]),
-        ops, max_snapshots=max_snapshots, out=Y)
-    return _pod_basis(kind, snaps, n_modes, energy_tol, max_snapshots,
-                      "data-driven auxiliary parabolic solve", driver_label,
-                      inverse_crime=False)
+    return _pod_basis(kind, snapshot_set(kind, field, ops, tg, max_snapshots),
+                      n_modes, energy_tol, "data-driven auxiliary parabolic solve",
+                      driver_label, inverse_crime=False)
 
 
-def build_traditional_pod(kind: ProblemKind, truth_trajectory: Trajectory,
-                          ops: DiscreteOperators, n_modes: Optional[int] = None,
-                          energy_tol: Optional[float] = None,
-                          max_snapshots: int = 201,
-                          out: Optional[np.ndarray] = None) -> PodBasis:
-    """Truth-driven baseline basis (the inverse-crime comparison point).
-
-    ``truth_trajectory`` must store the states at
-    ``snapshot_steps(M, max_snapshots)``: a full path, or one solved with
-    exactly those ``steps``.  ``out`` is passed on to ``collect_snapshots``:
-    with the trajectory solved into its first rows, no state is copied."""
-    snaps = collect_snapshots(truth_trajectory, ops, max_snapshots=max_snapshots,
-                              out=out)
-    return _pod_basis(kind, snaps, n_modes, energy_tol, max_snapshots,
+def build_traditional_pod(kind: ProblemKind, snapshots: SnapshotSet,
+                          n_modes: Optional[int] = None,
+                          energy_tol: Optional[float] = None) -> PodBasis:
+    """Truth-driven baseline basis (the inverse-crime comparison point) from
+    the snapshot set of the truth solve, ``snapshot_set(kind, truth, ...)``."""
+    return _pod_basis(kind, snapshots, n_modes, energy_tol,
                       "forward solve of the true problem", "ground-truth data",
                       inverse_crime=True)
 
 
 def _pod_basis(kind: ProblemKind, snaps: SnapshotSet, n_modes: Optional[int],
-               energy_tol: Optional[float], max_snapshots: int, equation: str,
-               driver: str, inverse_crime: bool) -> PodBasis:
+               energy_tol: Optional[float], equation: str, driver: str,
+               inverse_crime: bool) -> PodBasis:
     """POD of one heat solve's snapshots, with the provenance naming its driver."""
     provenance = {
         "equation": equation,
         "kind": ProblemKind.parse(kind).value,
         "driver": driver,
         "m_steps": snaps.m_steps,
-        "max_snapshots": max_snapshots,
+        "max_snapshots": snaps.max_snapshots,
         "inverse_crime": inverse_crime,
     }
     return compute_pod_basis(snaps, n_modes=n_modes, energy_tol=energy_tol,

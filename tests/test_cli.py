@@ -203,6 +203,60 @@ def test_sweep_surfaces_failures(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps
+    in this process, so no worker is ever started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("jobs,workers", [("500", 2), ("2", 2)])
+def test_sweep_starts_at_most_one_worker_per_config(tmp_path, capsys, monkeypatch,
+                                                    jobs, workers):
+    monkeypatch.setattr("adjpod.cli.ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    configs = [_small_ini(tmp_path, "a.ini"), _small_ini(tmp_path, "b.ini")]
+    code = main(["sweep", *configs, "--out", str(tmp_path / "sweep"), "--jobs", jobs])
+    assert code == 0
+    assert _RecordingPool.sizes == [workers]
+    assert capsys.readouterr().out.count("PASS") == 2
+
+
+def test_sweep_of_one_config_starts_no_pool(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("adjpod.cli.ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    code = main(["sweep", _small_ini(tmp_path), "--out", str(tmp_path / "sweep"),
+                 "--jobs", "500"])
+    assert code == 0 and _RecordingPool.sizes == []
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, monkeypatch, jobs):
+    monkeypatch.setattr("adjpod.cli.ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    out = tmp_path / "sweep"
+    code = main(["sweep", _small_ini(tmp_path), "--out", str(out), "--jobs", jobs])
+    assert code == 1
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    fails = [line for line in text.splitlines() if "FAIL" in line]
+    assert len(fails) == 1 and "--jobs" in fails[0] and jobs in fails[0]
+    assert "PASS" not in text and "Traceback" not in text
+    assert _RecordingPool.sizes == [] and not out.exists()
+
+
 def test_cli_rejects_missing_subcommand_and_bad_label():
     with pytest.raises(SystemExit):
         main([])

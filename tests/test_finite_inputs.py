@@ -1,16 +1,18 @@
 """Non-finite inputs are rejected with a message that names the value."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import adjpod.reduced
 from adjpod import (CoefficientSet, ExperimentConfig, InverseConfig, TimeGrid,
-                    assemble_operators, build_adjoint_pod, build_grid,
-                    build_reduced_model, compute_pod_basis, gradient_of_J,
-                    solve_forward, tikhonov_direct_reduced,
-                    tikhonov_gradient_descent_reduced, write_field_csv)
+                    add_noise, assemble_operators, build_adjoint_pod, build_grid,
+                    build_reduced_model, compute_pod_basis, denoise, gradient_of_J,
+                    make_shape, select_alpha, solve_forward, tikhonov_direct_reduced,
+                    tikhonov_gradient_descent_reduced, write_field_csv,
+                    write_measurements_csv)
 from adjpod.cli import main
 from adjpod.fem import conform_dirichlet
 
@@ -125,7 +127,7 @@ def test_gradient_rejects_non_finite_data(model, bad):
 
 @pytest.mark.parametrize("bad", BAD)
 def test_descent_rejects_non_finite_data(model, bad):
-    cfg = InverseConfig(lam=1e-6, mode="gradient", max_iters=5)
+    cfg = InverseConfig(lam=1e-6, max_iters=5)
     with pytest.raises(ValueError, match=f"m_r must be finite.*{bad}"):
         tikhonov_gradient_descent_reduced(model, _with_bad_entry(model.n_pod, bad), cfg)
 
@@ -176,3 +178,70 @@ def test_cli_forward_rejects_a_nan_field(tmp_path, capsys):
                  "--M", "2", "--out", str(tmp_path / "fwd")])
     assert code == 1
     assert "source term" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ denoising weights
+
+@pytest.fixture(scope="module")
+def noisy(grid):
+    nodes = grid.interior[::2]
+    return add_noise(grid.coords[nodes], make_shape("sin2", grid)[nodes], 0.1, seed=1)
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_denoise_rejects_a_non_finite_alpha(grid, noisy, bad):
+    with pytest.raises(ValueError, match="alpha must be finite and positive"):
+        denoise(noisy, grid, bad)
+
+
+def test_denoise_rejects_an_alpha_whose_normal_matrix_overflows(grid, noisy):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no RuntimeWarning either
+        with pytest.raises(ValueError, match="alpha=1e[+]308 overflows"):
+            denoise(noisy, grid, 1e308)
+
+
+def test_denoise_names_an_alpha_whose_penalty_underflows(grid, noisy):
+    # alpha * cell rounds to 0, and half the interior has no detector
+    with pytest.raises(ValueError, match="alpha=5e-324 is singular"):
+        denoise(noisy, grid, 5e-324)
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_select_alpha_rejects_a_non_finite_sigma(bad):
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        select_alpha(bad, 10, 1.0)
+
+
+def test_select_alpha_rejects_a_sigma_whose_alpha_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sigma=1e[+]300 overflows"):
+            select_alpha(1e300, 10, 1.0)
+
+
+@pytest.mark.parametrize("flags,named", [(["--alpha", "inf"], "alpha must be finite"),
+                                         (["--alpha", "1e308"], "alpha=1e+308 overflows"),
+                                         (["--sigma", "inf"], "sigma must be finite"),
+                                         (["--sigma", "1e300"], "sigma=1e+300 overflows")])
+def test_cli_denoise_names_a_bad_weight(tmp_path, capsys, grid, noisy, flags, named):
+    path = tmp_path / "measurements.csv"
+    write_measurements_csv(path, noisy)
+    code = main(["denoise", "--measurements", str(path), "--nx", str(grid.nx),
+                 "--ny", str(grid.ny), "--out", str(tmp_path / "dn")] + flags)
+    assert code == 1
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    fails = [line for line in text.splitlines() if "FAIL" in line]
+    assert len(fails) == 1 and named in fails[0]
+    assert "internal error" not in text and "Traceback" not in text
+
+
+def test_cli_invert_names_an_overflowing_alpha(tmp_path, capsys):
+    code = main(["invert", "--set", "grid.nx=9", "--set", "grid.ny=9",
+                 "--set", "time.m=5", "--set", "measurement.noise=0.1",
+                 "--set", "measurement.alpha=1e308", "--out", str(tmp_path)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "stage 'denoise'" in out and "alpha=1e+308" in out
+    assert "internal error" not in out

@@ -86,7 +86,7 @@ def _reference_descent(model, m_r, cfg):
 @pytest.mark.parametrize("kind", sorted(TIMES))
 def test_descent_matches_the_per_iteration_objective_loop(cases, kind, lam, max_iters):
     model, m_r = cases[kind]
-    cfg = InverseConfig(lam=lam, max_iters=max_iters, mode="gradient")
+    cfg = InverseConfig(lam=lam, max_iters=max_iters)
     f_ref, history_ref = _reference_descent(model, m_r, cfg)
     f, history = tikhonov_gradient_descent_reduced(model, m_r, cfg)
     assert np.array_equal(f, f_ref)
@@ -99,7 +99,7 @@ def test_descent_matches_the_per_iteration_objective_loop(cases, kind, lam, max_
 def test_descent_memory_grows_with_the_iterations_taken(cases):
     model, m_r = cases["source"]
     s_max = float(np.max(model.spectrum[0]))
-    cfg = InverseConfig(lam=10.0 * s_max ** 2, max_iters=10 ** 8, mode="gradient")
+    cfg = InverseConfig(lam=10.0 * s_max ** 2, max_iters=10 ** 8)
     tracemalloc.start()
     try:
         _, history = tikhonov_gradient_descent_reduced(model, m_r, cfg)

@@ -9,7 +9,7 @@ import adjpod.verify
 from adjpod import (CoefficientSet, SpectralCoefficients, TimeGrid,
                     assemble_operators, build_adjoint_pod, build_grid,
                     build_traditional_pod, collect_snapshots, compute_pod_basis,
-                    distinct_mu_subset, drive, mode_table)
+                    distinct_mu_subset, drive, mode_table, snapshot_set)
 from adjpod.cli import main
 
 PROVENANCE_KEYS = {"equation", "kind", "driver", "m_steps", "max_snapshots",
@@ -61,8 +61,8 @@ def test_adjoint_basis_provenance_is_pinned(ops, field, kind, max_snapshots, m_s
 @pytest.mark.parametrize("max_snapshots, m_steps", [(201, 12), (9, 4)])
 def test_traditional_basis_provenance_is_pinned(ops, field, kind, max_snapshots,
                                                 m_steps):
-    basis = build_traditional_pod(kind, drive(kind, field, ops, TG), ops,
-                                  n_modes=3, max_snapshots=max_snapshots)
+    basis = build_traditional_pod(kind, snapshot_set(kind, field, ops, TG, max_snapshots),
+                                  n_modes=3)
     assert basis.provenance == {
         "equation": "forward solve of the true problem",
         "kind": kind,
@@ -80,7 +80,8 @@ def test_no_builder_takes_a_states_only_switch(ops, field):
     with pytest.raises(TypeError, match="states_only"):
         build_adjoint_pod("source", field, ops, TG, n_modes=2, states_only=True)
     with pytest.raises(TypeError, match="states_only"):
-        build_traditional_pod("source", traj, ops, n_modes=2, states_only=False)
+        build_traditional_pod("source", collect_snapshots(traj, ops), n_modes=2,
+                              states_only=False)
 
 
 @pytest.mark.parametrize("kind", ["source", "backward"])

@@ -115,11 +115,12 @@ def test_a_hit_reports_the_stored_solve_time(tmp_path):
 def test_arrays_held_by_the_truth_memo_are_read_only(tmp_path):
     run_experiment(BASE, str(tmp_path / "run"))
     hits = experiment._truth_stage.cache_info().hits
-    truth, final, _, traditional = experiment._truth_stage(
+    stage = experiment._truth_stage(
         build_problem(BASE.kind, BASE.nx, BASE.ny, BASE.T, BASE.M, BASE.q, BASE.c),
         BASE.truth, BASE.max_snapshots, BASE.n_pod, BASE.energy)
     assert experiment._truth_stage.cache_info().hits == hits + 1
-    for array in (truth, final, traditional.psi, traditional.eigenvalues):
+    for array in (stage.field, stage.final, stage.traditional.psi,
+                  stage.traditional.eigenvalues):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0.0

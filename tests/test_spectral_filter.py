@@ -98,7 +98,7 @@ def test_eigen_coordinate_descent_matches_the_reference_loop(models, kind, lam):
     beta = 1.0 / (np.linalg.norm(S, 2) ** 2 + lam)
     f_ref, h_ref = _reference_descent(S, m_r, lam, beta, max_iters=4000)
     f, history = tikhonov_gradient_descent_reduced(
-        model, m_r, InverseConfig(lam=lam, mode="gradient", max_iters=4000))
+        model, m_r, InverseConfig(lam=lam, max_iters=4000))
     assert len(history) == len(h_ref)
     np.testing.assert_allclose(history, h_ref, rtol=1e-10, atol=1e-14 * h_ref[0])
     np.testing.assert_allclose(f, f_ref, rtol=0, atol=1e-9 * np.max(np.abs(f_ref)))

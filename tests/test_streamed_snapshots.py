@@ -17,9 +17,9 @@ import adjpod.reduced
 from adjpod import (CoefficientSet, TimeGrid, assemble_operators, build_adjoint_pod,
                     build_grid, build_problem, collect_snapshots, compute_pod_basis,
                     correlation_matrix, drive, make_shape, projection_error_ratio,
-                    solve_forward)
+                    snapshot_set, solve_forward)
 from adjpod import experiment
-from adjpod.pod import snapshot_matrix, snapshot_steps
+from adjpod.pod import snapshot_steps
 
 
 @pytest.fixture(scope="module")
@@ -207,31 +207,39 @@ def test_adjoint_pod_memory_does_not_grow_with_the_step_count():
 @pytest.mark.parametrize("kind", ["source", "backward"])
 @pytest.mark.parametrize("M", [10, 37, 400])
 @pytest.mark.parametrize("budget", [5, 9, 201])
-def test_the_in_place_snapshot_matrix_is_the_full_path_snapshot_set(grid, ops, kind,
-                                                                     M, budget):
+def test_the_in_place_snapshot_set_is_the_full_path_snapshot_set(grid, ops, kind, M,
+                                                                  budget, monkeypatch):
     tg = TimeGrid(T=0.5, M=M)
     field = _fields(grid)[0]
     reference = collect_snapshots(drive(kind, field, ops, tg), ops, max_snapshots=budget)
-    steps, Y = snapshot_matrix(M, budget, grid.n_nodes)
-    Y.fill(np.nan)                  # every entry must be written, boundary zeros too
-    traj = drive(kind, field, ops, tg, steps=steps, out=Y[:len(steps)])
-    assert np.shares_memory(traj.states, Y) and np.array_equal(traj.steps, steps)
-    snaps = collect_snapshots(traj, ops, max_snapshots=budget, out=Y)
-    assert snaps.snapshots is Y
-    assert np.array_equal(Y, reference.snapshots)
+    solved = []
+
+    def drive_into_garbage(*args, out, **kwargs):
+        out.fill(np.nan)            # every entry must be written, boundary zeros too
+        traj = drive(*args, out=out, **kwargs)
+        solved.append(traj)
+        return traj
+
+    monkeypatch.setattr(adjpod.reduced, "drive", drive_into_garbage)
+    snaps = snapshot_set(kind, field, ops, tg, budget)
+    traj, = solved
+    assert traj.states.base is snaps.snapshots and np.shares_memory(traj.states, snaps.states)
+    assert np.array_equal(traj.steps, snapshot_steps(M, budget))
+    assert np.array_equal(snaps.snapshots, reference.snapshots)
     assert np.array_equal(snaps.times, reference.times)
     assert snaps.m_steps == reference.m_steps
+    assert snaps.max_snapshots == reference.max_snapshots == budget
 
 
 @pytest.mark.parametrize("M,budget", [(10, 5), (12, 201)])
-def test_a_separate_trajectory_is_copied_into_out(grid, ops, M, budget):
+def test_out_must_already_hold_the_states(grid, ops, M, budget):
     tg = TimeGrid(T=0.5, M=M)
     f, g = _fields(grid, seed=5)
     full = solve_forward(ops, tg, f, g)
     reference = collect_snapshots(full, ops, max_snapshots=budget)
     buffer = np.full(reference.snapshots.shape, np.nan)
-    snaps = collect_snapshots(full, ops, max_snapshots=budget, out=buffer)
-    assert snaps.snapshots is buffer and np.array_equal(buffer, reference.snapshots)
+    with pytest.raises(ValueError, match="out must hold the trajectory's states"):
+        collect_snapshots(full, ops, max_snapshots=budget, out=buffer)
     # a whole path solved into a caller's array, with garbage in it beforehand
     states = np.full((M + 1, grid.n_nodes), np.nan)
     assert solve_forward(ops, tg, f, g, out=states).states is states
@@ -267,14 +275,15 @@ def test_collect_snapshots_rejects_a_wrong_out(grid, ops, case):
 def test_collect_snapshots_rejects_read_only_and_overlapping_outs(grid, ops):
     tg = TimeGrid(T=0.5, M=20)
     f, g = _fields(grid)
-    steps, Y = snapshot_matrix(20, 9, grid.n_nodes)
+    steps = snapshot_steps(20, 9)
+    Y = np.empty((2 * len(steps) - 1, grid.n_nodes))
     Y.flags.writeable = False
     with pytest.raises(ValueError, match="out must be a writeable"):
         solve_forward(ops, tg, f, g, steps=steps, out=Y[:len(steps)])
     # states solved into rows that are not the first ones of out
-    steps, Y = snapshot_matrix(20, 9, grid.n_nodes)
+    Y = np.empty((2 * len(steps) - 1, grid.n_nodes))
     traj = solve_forward(ops, tg, f, g, steps=steps, out=Y[1:len(steps) + 1])
-    with pytest.raises(ValueError, match="overlaps the trajectory's states"):
+    with pytest.raises(ValueError, match="out must hold the trajectory's states"):
         collect_snapshots(traj, ops, max_snapshots=9, out=Y)
 
 

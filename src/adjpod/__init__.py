@@ -10,19 +10,19 @@ inversion in the reduced space.
 
 from .fem import (CoefficientSet, DiscreteOperators, TimeGrid, Trajectory,
                   assemble_operators, solve_forward)
-from .grid import DOMAIN_SIDE, Grid2D, build_grid, evaluate_at_points
+from .grid import DOMAIN_SIDE, Grid2D, build_grid
 from .inversion import (InverseConfig, MeasurementSet, add_noise, denoise,
                         descent_step_bound, gradient_of_J, h2_norm_estimate,
                         laplacian_stencil, select_alpha,
                         snap_detectors_to_nodes, tikhonov_direct,
-                        tikhonov_direct_reduced, tikhonov_gradient_descent,
+                        tikhonov_direct_reduced,
                         tikhonov_gradient_descent_reduced, tikhonov_objective)
 from .pod import (PodBasis, SnapshotSet, collect_snapshots, compute_pod_basis,
                   correlation_matrix, principal_angles, projection_error_ratio,
                   snapshot_steps)
 from .reduced import (ReducedModel, build_adjoint_pod, build_reduced_model,
                       build_traditional_pod, drive, reduced_solve,
-                      snapshot_set, solve_adjoint, spod_matrix)
+                      snapshot_set, spod_matrix)
 from .experiment import (ExperimentConfig, StageError, auto_lambda,
                          build_problem, detector_nodes,
                          hminus1_surrogate_error, load_config,
@@ -35,10 +35,9 @@ from .serialize import (read_field_csv, read_json, read_matrix_csv,
 from .shapes import list_shapes, make_shape
 from .spectral import (ProblemKind, SpectralCoefficients,
                        adjoint_response_factor, distinct_mu_subset,
-                       eigenvalue, final_time_factor, laplace_eigenpair,
-                       mode_table, project_onto_modes, spectral_solution)
-from .verify import (TheoryMatrices, build_theory_matrices,
-                     response_profile_conditioning, verify_pod_bound,
+                       eigenvalue, laplace_eigenpair, mode_table,
+                       project_onto_modes, spectral_solution)
+from .verify import (TheoryMatrices, build_theory_matrices, verify_pod_bound,
                      verify_span_equality)
 
 __version__ = "0.1.0"

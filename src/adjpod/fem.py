@@ -167,10 +167,13 @@ def assemble_operators(grid: Grid2D, coeffs: CoefficientSet) -> DiscreteOperator
     if np.any(c_samples < 0):
         raise ValueError("reaction coefficient c must be non-negative everywhere")
 
-    q_bar = q_samples.mean(axis=1)
     # diffusion block: (integral of q) * grad phi_i . grad phi_j
     grads = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
-    k_local = (q_bar / (4.0 * area))[:, None, None] * grads
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_bar = q_samples.mean(axis=1)
+        k_local = (q_bar / (4.0 * area))[:, None, None] * grads
+    if not np.all(np.isfinite(k_local)):
+        raise ValueError("diffusion coefficient q overflows the stiffness matrix on this grid")
     # reaction block via the same midpoint rule
     phi_outer = _PHI_MID[:, :, None] * _PHI_MID[:, None, :]          # (3, 3, 3)
     r_local = (area / 3.0)[:, None, None] * np.einsum("tm,mij->tij", c_samples, phi_outer)

@@ -81,53 +81,3 @@ def build_grid(nx: int, ny: int) -> Grid2D:
 
     return Grid2D(nx=nx, ny=ny, xs=xs, ys=ys, coords=coords,
                   triangles=triangles, boundary=boundary, interior=interior)
-
-
-def evaluate_at_points(grid: Grid2D, values: np.ndarray, points) -> np.ndarray:
-    """P1-interpolate a nodal field at arbitrary points of the closed domain.
-
-    Points that coincide with grid nodes return the nodal value exactly
-    (bit for bit).  Points outside [0, pi]^2 are rejected.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n_nodes,):
-        raise ValueError("field length does not match node count")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must be an (n, 2) array of coordinates")
-    x, y = pts[:, 0], pts[:, 1]
-
-    tol = 1e-12 * DOMAIN_SIDE
-    if np.any(x < -tol) or np.any(x > DOMAIN_SIDE + tol) or \
-            np.any(y < -tol) or np.any(y > DOMAIN_SIDE + tol):
-        bad = pts[(x < -tol) | (x > DOMAIN_SIDE + tol) |
-                  (y < -tol) | (y > DOMAIN_SIDE + tol)][0]
-        raise ValueError(f"point {tuple(bad)} lies outside the closed domain")
-    x = np.clip(x, 0.0, DOMAIN_SIDE)
-    y = np.clip(y, 0.0, DOMAIN_SIDE)
-
-    nx, hx, hy = grid.nx, grid.hx, grid.hy
-
-    # nearest-node detection for the exact-reproduction contract
-    jx = np.clip(np.rint(x / hx).astype(int), 0, grid.nx - 1)
-    jy = np.clip(np.rint(y / hy).astype(int), 0, grid.ny - 1)
-    on_node = (x == grid.xs[jx]) & (y == grid.ys[jy])
-
-    cx = np.minimum((x / hx).astype(int), grid.nx - 2)
-    cy = np.minimum((y / hy).astype(int), grid.ny - 2)
-    xi = x / hx - cx
-    eta = y / hy - cy
-
-    base = cy * nx + cx
-    u00 = values[base]
-    u10 = values[base + 1]
-    u01 = values[base + nx]
-    u11 = values[base + nx + 1]
-
-    # lower triangle covers xi >= eta, upper the complement; they agree on
-    # the shared diagonal
-    v_lower = u00 * (1.0 - xi) + u10 * (xi - eta) + u11 * eta
-    v_upper = u00 * (1.0 - eta) + u01 * (eta - xi) + u11 * xi
-    out = np.where(xi >= eta, v_lower, v_upper)
-    out = np.where(on_node, values[jy * nx + jx], out)
-    return out

@@ -152,7 +152,6 @@ def _denoise_factors(grid: Grid2D, nodes: np.ndarray, alpha: float):
     held = _DENOISE_MEMO.get(key)
     if held is not None:
         return held
-    _DENOISE_MEMO.clear()
     n = nodes.size
     P = sp.coo_matrix((np.ones(n), (np.arange(n), nodes)), shape=(n, grid.n_nodes)).tocsr()
     B = laplacian_stencil(grid)
@@ -163,6 +162,7 @@ def _denoise_factors(grid: Grid2D, nodes: np.ndarray, alpha: float):
         raise ValueError(f"denoising weight alpha={alpha} overflows the denoise "
                          f"normal matrix on this grid")
     idx = grid.interior
+    _DENOISE_MEMO.clear()       # a rejected alpha keeps the held LU
     try:
         lu = splu(H[np.ix_(idx, idx)].tocsc())
     except RuntimeError as exc:     # a penalty that underflows leaves it singular
@@ -302,14 +302,6 @@ def tikhonov_gradient_descent_reduced(model: ReducedModel, m_r: np.ndarray,
     r = w * Z - n
     history = 0.5 * (np.sum(r * r, axis=1) + cfg.lam * np.sum(Z * Z, axis=1))
     return Q @ z, history
-
-
-def tikhonov_gradient_descent(model: ReducedModel, m: np.ndarray,
-                              cfg: InverseConfig):
-    """Recover the unknown from a full measurement field; returns (field, history)."""
-    m_r = model.basis.coefficients(np.asarray(m, dtype=float))
-    f_r, history = tikhonov_gradient_descent_reduced(model, m_r, cfg)
-    return model.basis.expand(f_r), history
 
 
 def tikhonov_direct_reduced(model: ReducedModel, m_r: np.ndarray,

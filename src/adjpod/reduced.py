@@ -56,17 +56,6 @@ def _measurement_field(m: np.ndarray, ops: DiscreteOperators) -> np.ndarray:
     return m
 
 
-def solve_adjoint(kind: ProblemKind, m: np.ndarray, ops: DiscreteOperators,
-                  tg: TimeGrid) -> Trajectory:
-    """Full-order auxiliary trajectory driven by the measurement field m.
-
-    A non-finite m is rejected as the measurement field.  Boundary residue
-    on m (for example left over from denoising) is projected to zero before
-    ``drive``.
-    """
-    return drive(kind, _measurement_field(m, ops), ops, tg)
-
-
 def snapshot_set(kind: ProblemKind, field: np.ndarray, ops: DiscreteOperators,
                  tg: TimeGrid, max_snapshots: int = 201) -> SnapshotSet:
     """Snapshot set of the heat equation driven by ``field`` as in ``drive``.
@@ -90,8 +79,9 @@ def build_adjoint_pod(kind: ProblemKind, m: np.ndarray, ops: DiscreteOperators,
                       driver_label: str = "measured-data") -> PodBasis:
     """Measurement-driven basis: auxiliary solve -> snapshots -> POD.
 
-    m is checked and its boundary projected to zero as in ``solve_adjoint``,
-    then drives ``snapshot_set``."""
+    A non-finite m is rejected as the measurement field.  Boundary residue
+    on m (for example left over from denoising) is projected to zero before
+    m drives ``snapshot_set``."""
     field = _measurement_field(m, ops)
     if not np.any(field):
         raise ValueError("measurement field is identically zero: no snapshot energy")

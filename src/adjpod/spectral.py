@@ -125,12 +125,6 @@ def adjoint_response_factor(kind: ProblemKind, mu, t):
     return np.exp(-mu * t)
 
 
-def final_time_factor(kind: ProblemKind, mu, T: float):
-    """Per-mode map from the unknown's coefficient to the final-time
-    coefficient: the auxiliary response at t = T."""
-    return adjoint_response_factor(kind, mu, T)
-
-
 def spectral_solution(kind: ProblemKind, coeffs: SpectralCoefficients,
                       T: float) -> SpectralCoefficients:
     """Exact final-time coefficients for either problem kind."""

@@ -180,23 +180,3 @@ def pod_bound_report(tm: TheoryMatrices, ops, n_pod: Optional[int] = None) -> di
         "table": table,
         "pass": bool(full_rank_lhs <= 1e-6),
     }
-
-
-def response_profile_conditioning(mus, ts) -> dict:
-    """Conditioning of the L x L profile matrix 1 - e^{-mu_i t_j}.
-
-    The span argument rests on this matrix being invertible for distinct
-    eigenvalues and times; the report carries its extreme singular values.
-    """
-    mus = np.asarray(mus, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    if len(set(mus.tolist())) != mus.size or len(set(ts.tolist())) != ts.size:
-        raise ValueError("eigenvalues and times must each be distinct")
-    Jp = 1.0 - np.exp(-mus[:, None] * ts[None, :])
-    svals = scipy.linalg.svd(Jp, compute_uv=False)
-    return {
-        "L": int(mus.size),
-        "smallest_singular_value": float(svals[-1]),
-        "largest_singular_value": float(svals[0]),
-        "condition_number": float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf,
-    }

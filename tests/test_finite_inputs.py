@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import adjpod.inversion
 import adjpod.reduced
 from adjpod import (CoefficientSet, ExperimentConfig, InverseConfig, TimeGrid,
                     add_noise, assemble_operators, build_adjoint_pod, build_grid,
@@ -97,6 +98,22 @@ def test_cli_invert_names_a_non_finite_problem_value(tmp_path, capsys, override,
     assert code == 1
     out = capsys.readouterr().out
     assert named in out and "internal error" not in out
+
+
+def test_cli_invert_names_a_diffusion_coefficient_that_overflows(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["invert", "--set", "grid.nx=9", "--set", "grid.ny=9",
+                     "--set", "time.m=10", "--set", "coefficients.q=1e308",
+                     "--out", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    fails = [line for line in text.splitlines() if "FAIL" in line]
+    assert len(fails) == 1 and "diffusion coefficient q" in fails[0]
+    assert "stage 'setup'" in fails[0]
+    assert "internal error" not in text
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("bad", BAD)
@@ -199,6 +216,18 @@ def test_denoise_rejects_an_alpha_whose_normal_matrix_overflows(grid, noisy):
         warnings.simplefilter("error")          # no RuntimeWarning either
         with pytest.raises(ValueError, match="alpha=1e[+]308 overflows"):
             denoise(noisy, grid, 1e308)
+
+
+def test_a_rejected_alpha_keeps_the_held_denoise_factorization(grid, noisy, monkeypatch):
+    calls = []
+    real = adjpod.inversion.splu
+    monkeypatch.setattr(adjpod.inversion, "splu", lambda a: calls.append(a.shape) or real(a))
+    monkeypatch.setattr(adjpod.inversion, "_DENOISE_MEMO", {})
+    first = denoise(noisy, grid, 1e-6)
+    with pytest.raises(ValueError, match="overflows"):
+        denoise(noisy, grid, 1e308)
+    assert np.array_equal(denoise(noisy, grid, 1e-6), first)
+    assert len(calls) == 1
 
 
 def test_denoise_names_an_alpha_whose_penalty_underflows(grid, noisy):

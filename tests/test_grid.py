@@ -1,9 +1,9 @@
-"""Structured mesh construction and piecewise-linear point evaluation."""
+"""Structured mesh construction."""
 
 import numpy as np
 import pytest
 
-from adjpod import DOMAIN_SIDE, build_grid, evaluate_at_points
+from adjpod import DOMAIN_SIDE, build_grid
 
 
 def test_build_grid_basic_layout():
@@ -48,38 +48,3 @@ def test_node_index_round_trip():
     assert grid.node_index(3, 2) == 2 * 9 + 3
     np.testing.assert_allclose(grid.coords[grid.node_index(3, 2)],
                                [grid.xs[3], grid.ys[2]])
-
-
-def test_evaluate_at_points_is_exact_at_nodes():
-    grid = build_grid(8, 9)
-    rng = np.random.default_rng(7)
-    values = rng.standard_normal(grid.n_nodes)
-    out = evaluate_at_points(grid, values, grid.coords)
-    np.testing.assert_array_equal(out, values)
-
-
-def test_evaluate_at_points_reproduces_linear_fields():
-    grid = build_grid(6, 8)
-    values = 2.0 * grid.coords[:, 0] - 0.5 * grid.coords[:, 1] + 1.0
-    rng = np.random.default_rng(11)
-    pts = rng.uniform(0.0, DOMAIN_SIDE, size=(200, 2))
-    out = evaluate_at_points(grid, values, pts)
-    np.testing.assert_allclose(out, 2.0 * pts[:, 0] - 0.5 * pts[:, 1] + 1.0,
-                               rtol=0, atol=1e-12)
-
-
-def test_evaluate_at_points_rejects_outside_points():
-    grid = build_grid(5, 5)
-    values = np.zeros(grid.n_nodes)
-    with pytest.raises(ValueError):
-        evaluate_at_points(grid, values, [[-0.5, 1.0]])
-    with pytest.raises(ValueError):
-        evaluate_at_points(grid, values, [[1.0, DOMAIN_SIDE + 0.3]])
-
-
-def test_evaluate_at_points_validates_shapes():
-    grid = build_grid(5, 5)
-    with pytest.raises(ValueError):
-        evaluate_at_points(grid, np.zeros(3), [[1.0, 1.0]])
-    with pytest.raises(ValueError):
-        evaluate_at_points(grid, np.zeros(grid.n_nodes), [[1.0, 1.0, 2.0]])

@@ -9,7 +9,6 @@ from adjpod import (CoefficientSet, InverseConfig, TimeGrid, add_noise,
                     gradient_of_J, h2_norm_estimate, laplacian_stencil,
                     select_alpha, snap_detectors_to_nodes, spod_matrix,
                     tikhonov_direct, tikhonov_direct_reduced,
-                    tikhonov_gradient_descent,
                     tikhonov_gradient_descent_reduced, tikhonov_objective)
 
 
@@ -235,7 +234,7 @@ def test_direct_solver_lambda_zero_rank_deficiency(model, ops):
         tikhonov_direct_reduced(degenerate, ones, -1e-3)
 
 
-def test_full_field_wrappers_match_reduced_solvers(model, grid, rng):
+def test_full_field_wrappers_match_reduced_solvers(model, rng):
     m = model.basis.expand(rng.standard_normal(model.n_pod))
     lam = 1e-8
     field = tikhonov_direct(model, m, lam)
@@ -243,7 +242,3 @@ def test_full_field_wrappers_match_reduced_solvers(model, grid, rng):
     np.testing.assert_allclose(
         field, model.basis.expand(tikhonov_direct_reduced(model, m_r, lam)),
         rtol=0, atol=1e-14)
-    field_gd, history = tikhonov_gradient_descent(
-        model, m, InverseConfig(lam=lam, max_iters=2000))
-    assert field_gd.shape == (grid.n_nodes,)
-    assert history[-1] <= history[0]

@@ -5,8 +5,8 @@ import pytest
 
 from adjpod import (CoefficientSet, ProblemKind, SpectralCoefficients,
                     adjoint_response_factor, assemble_operators, build_grid,
-                    eigenvalue, final_time_factor, laplace_eigenpair,
-                    mode_table, project_onto_modes, spectral_solution)
+                    eigenvalue, laplace_eigenpair, mode_table,
+                    project_onto_modes, spectral_solution)
 from adjpod.spectral import distinct_mu_subset
 
 
@@ -42,14 +42,14 @@ def test_parse_problem_kind():
         ProblemKind.parse("sideways")
 
 
-def test_final_time_factor_reference_values():
+def test_adjoint_response_factor_reference_values():
     # (1 - e^{-2}) / 2 for the lowest mode driven by a unit source over T=1
     np.testing.assert_allclose(
-        final_time_factor(ProblemKind.INVERSE_SOURCE, 2.0, 1.0),
+        adjoint_response_factor(ProblemKind.INVERSE_SOURCE, 2.0, 1.0),
         0.43233235838169365, rtol=1e-15)
     # e^{-0.1} decay of the lowest mode over T=0.05
     np.testing.assert_allclose(
-        final_time_factor(ProblemKind.BACKWARD, 2.0, 0.05),
+        adjoint_response_factor(ProblemKind.BACKWARD, 2.0, 0.05),
         0.9048374180359595, rtol=1e-15)
 
 

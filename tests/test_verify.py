@@ -7,9 +7,7 @@ import adjpod.cli
 import adjpod.verify
 from adjpod import (ProblemKind, SpectralCoefficients, adjoint_response_factor,
                     build_theory_matrices, compute_pod_basis, eigenvalue,
-                    final_time_factor, laplace_eigenpair,
-                    response_profile_conditioning, verify_pod_bound,
-                    verify_span_equality)
+                    laplace_eigenpair, verify_pod_bound, verify_span_equality)
 
 # mode pairs with pairwise-distinct eigenvalues 2, 5, 8, 10, 13, 17
 _DISTINCT_MODES = ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (1, 4))
@@ -167,17 +165,6 @@ def test_bound_factor_by_kind(grid, desk_ops):
     assert back["bound_factor"] == pytest.approx(np.exp(2 * mu_top * 0.05))
 
 
-def test_response_profile_conditioning_reports_and_validates():
-    report = response_profile_conditioning([2.0, 5.0, 8.0], [0.25, 0.5, 1.0])
-    assert report["L"] == 3
-    assert report["smallest_singular_value"] > 0
-    assert report["condition_number"] >= 1.0
-    with pytest.raises(ValueError, match="distinct"):
-        response_profile_conditioning([2.0, 2.0], [0.5, 1.0])
-    with pytest.raises(ValueError, match="distinct"):
-        response_profile_conditioning([2.0, 5.0], [0.5, 0.5])
-
-
 def test_factor_helpers_agree_with_matrix_builder(grid):
     """Response and final-time factors drive the builder; cross-check the
     backward kind where both are pure exponentials."""
@@ -187,7 +174,7 @@ def test_factor_helpers_agree_with_matrix_builder(grid):
                                rtol=1e-15)
     np.testing.assert_allclose(tm.d, np.exp(-tm.mus * 0.2), rtol=1e-15)
     np.testing.assert_allclose(
-        tm.d, final_time_factor(ProblemKind.BACKWARD, tm.mus, 0.2),
+        tm.d, adjoint_response_factor(ProblemKind.BACKWARD, tm.mus, 0.2),
         rtol=0, atol=0)
     np.testing.assert_allclose(
         tm.J[:, -1], adjoint_response_factor(ProblemKind.BACKWARD, tm.mus, 0.2),

@@ -33,7 +33,7 @@ import numpy as np
 from . import inversion, serialize
 from .fem import CoefficientSet, TimeGrid, assemble_operators
 from .fem import solve_forward  # noqa: F401 - traced by perfbench/spans.py
-from .grid import Grid2D, build_grid
+from .grid import DOMAIN_SIDE, Grid2D, build_grid
 from .pod import PodBasis, principal_angles
 from .reduced import (build_adjoint_pod, build_reduced_model, build_traditional_pod,
                       reduced_solve, snapshot_set)
@@ -94,6 +94,21 @@ def parse_coefficient(spec: str):
 def _positive(raw) -> bool:
     value = _parsed(float, raw, np.nan)
     return bool(np.isfinite(value) and value > 0)
+
+
+def _penalty_fits(raw, nx: int, ny: int) -> bool:
+    """Whether the denoise penalty of weight ``raw`` stays finite on an
+    nx x ny grid: alpha * hx*hy * max|B^T B|, its largest entry, with B the
+    five-point Laplacian and max|B^T B| = (2/hx^2 + 2/hy^2)^2 + 2/hx^4 + 2/hy^4.
+    A weight that is no positive number, or a grid under 3 x 3, fails its
+    own rule and passes this one."""
+    if not _positive(raw) or min(nx, ny) < 3:
+        return True
+    hx, hy = DOMAIN_SIDE / (nx - 1), DOMAIN_SIDE / (ny - 1)
+    ax, ay = 1.0 / (hx * hx), 1.0 / (hy * hy)
+    centre = 2.0 * (ax + ay)
+    largest = centre * centre + 2.0 * (ax * ax + ay * ay)
+    return bool(np.isfinite(float(raw) * hx * hy * largest))
 
 
 def _non_negative(raw) -> bool:
@@ -166,6 +181,9 @@ class ExperimentConfig:
              "Tikhonov weight lam must be 'auto' or a finite number >= 0"),
             ("alpha", self.alpha == "auto" or _positive(self.alpha),
              "denoising weight alpha must be 'auto' or a finite number > 0"),
+            ("alpha", self.alpha == "auto" or _penalty_fits(self.alpha, self.nx, self.ny),
+             f"denoising weight alpha overflows the denoise normal matrix on a "
+             f"{self.nx}x{self.ny} grid"),
         ):
             if not holds:
                 raise ValueError(f"{_CONFIG_KEYS[name]}: {rule}, got {getattr(self, name)}")

@@ -99,9 +99,10 @@ def _jsonable(obj):
 
 
 def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as indented JSON in one ``write``; ``json.dump``
+    with an indent makes one call per token."""
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path) -> dict:

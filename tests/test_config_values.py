@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import adjpod.cli
-from adjpod import ExperimentConfig, load_config
+from adjpod import ExperimentConfig, build_grid, laplacian_stencil, load_config
 from adjpod.cli import main
 
 # (override, INI key named in the message)
@@ -39,6 +39,7 @@ BAD_VALUES = [
     ("measurement.alpha=0", "measurement.alpha"),
     ("measurement.alpha=-1", "measurement.alpha"),
     ("measurement.alpha=nan", "measurement.alpha"),
+    ("measurement.alpha=1e308", "measurement.alpha"),
     ("inverse.lambda=plenty", "inverse.lambda"),
     ("coefficients.q=abc", "coefficients.q"),
     ("coefficients.q=nan", "coefficients.q"),
@@ -105,3 +106,14 @@ def test_forward_stores_only_the_final_state(tmp_path, monkeypatch):
     assert main(["forward", "--input", "sin2", "--nx", "9", "--ny", "9", "--M", "7",
                  "--out", str(tmp_path)]) == 0
     assert len(seen) == 1 and np.array_equal(seen[0][0], [7]) and seen[0][1] == 1
+
+
+@pytest.mark.parametrize("nx,ny", [(9, 9), (33, 17)])
+def test_alpha_rule_bounds_the_largest_penalty_entry(nx, ny):
+    # the rule's closed form for max|B^T B| is the stencil's own largest entry
+    grid = build_grid(nx, ny)
+    B = laplacian_stencil(grid)
+    edge = float(np.finfo(float).max / (grid.hx * grid.hy * abs(B.T @ B).max()))
+    assert ExperimentConfig(nx=nx, ny=ny, alpha=repr(0.5 * edge)).alpha == repr(0.5 * edge)
+    with pytest.raises(ValueError, match="^measurement.alpha: .*overflows"):
+        ExperimentConfig(nx=nx, ny=ny, alpha=repr(2.0 * edge))

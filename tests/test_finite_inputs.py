@@ -272,5 +272,6 @@ def test_cli_invert_names_an_overflowing_alpha(tmp_path, capsys):
                  "--set", "measurement.alpha=1e308", "--out", str(tmp_path)])
     assert code == 1
     out = capsys.readouterr().out
-    assert "stage 'denoise'" in out and "alpha=1e+308" in out
+    # rejected when the config is loaded, before any stage runs
+    assert "measurement.alpha: " in out and "overflows" in out and "stage" not in out
     assert "internal error" not in out

@@ -1,5 +1,6 @@
 """Artifact formats: CSV round-trips and JSON manifests."""
 
+import io
 import json
 
 import numpy as np
@@ -59,6 +60,16 @@ def test_matrix_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(read_matrix_csv(path), mat)
     write_matrix_csv(path, np.array([1.5, 2.5]))
     assert read_matrix_csv(path).shape == (1, 2)
+
+
+def test_json_text_is_what_json_dump_streams(tmp_path):
+    payload = {"b": [1.5, -0.0, 1e-300, 2 ** 53 + 1], "a": {"z": None, "y": "text\u00e9"},
+               "c": True, "d": 0.1 + 0.2, "e": []}
+    path = tmp_path / "report.json"
+    write_json(path, payload)
+    streamed = io.StringIO()
+    json.dump(payload, streamed, indent=2, sort_keys=True)
+    assert path.read_bytes() == (streamed.getvalue() + "\n").encode()
 
 
 def test_json_handles_numpy_scalars_and_arrays(tmp_path):

@@ -1,5 +1,6 @@
 """Vectorized kernels against the per-element loops they replace: the
-five-point stencil, the CSV writers and the modal projection."""
+five-point stencil, the CSV writers and the modal projection; and the
+numpy nearest-neighbour probe against a KD-tree query."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import scipy.sparse as sp
 from adjpod import (CoefficientSet, MeasurementSet, assemble_operators, build_grid,
                     laplacian_stencil, mode_table, project_onto_modes,
                     write_field_csv, write_matrix_csv, write_measurements_csv)
+from adjpod import inversion
+from adjpod.experiment import detector_nodes
 from adjpod.inversion import _quasi_uniformity
 from adjpod.spectral import laplace_eigenpair
 
@@ -102,15 +105,69 @@ def test_projection_matches_the_mode_by_mode_sum(shape, L):
                                atol=1e-14 * np.max(np.abs(reference)))
 
 
-def test_quasi_uniformity_memo_follows_the_coordinates():
+def _kd_tree_ratio(detectors):
+    """The fill/separation ratio as a KD-tree query gives it: the reference
+    the numpy probe must match bit for bit."""
     from scipy.spatial import cKDTree
 
+    tree = cKDTree(detectors)
+    side = np.linspace(0.0, np.pi, 101)
+    X, Y = np.meshgrid(side, side, indexing="xy")
+    d_max = tree.query(np.column_stack([X.ravel(), Y.ravel()]))[0].max()
+    d_min = tree.query(detectors, k=2)[0][:, 1].min()
+    return d_max / d_min if d_min > 0 else None
+
+
+def _lattice(n, spec):
+    grid = build_grid(n, n)
+    return grid.coords[detector_nodes(grid, spec)]
+
+
+def _cluster_with_outliers():
+    rng = np.random.default_rng(17)
+    cluster = 1.3 + 1e-4 * rng.standard_normal((200, 2))
+    return np.vstack([cluster, [[0.0, 0.0], [np.pi, 0.2], [0.1, np.pi], [3.0, 3.1]]])
+
+
+def _duplicated():
+    detectors = np.random.default_rng(19).uniform(0.0, np.pi, (30, 2))
+    detectors[23] = detectors[4]
+    return detectors
+
+
+LAYOUTS = {
+    **{f"lattice-{n}-{spec}": (lambda n=n, spec=spec: _lattice(n, spec))
+       for n in (9, 33, 101) for spec in ("50x50", "10x10", "1x3")},
+    "two-points": lambda: np.array([[0.4, 2.5], [2.9, 0.1]]),
+    "collinear": lambda: np.column_stack([np.linspace(0.2, 2.9, 40),
+                                          np.linspace(0.1, 1.4, 40)]),
+    "on-an-axis-line": lambda: np.column_stack([np.linspace(0.0, np.pi, 60),
+                                                np.zeros(60)]),
+    "cluster-and-outliers": _cluster_with_outliers,
+    "random-2500": lambda: np.random.default_rng(23).uniform(0.0, np.pi, (2500, 2)),
+    "duplicated": _duplicated,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+def test_quasi_uniformity_matches_the_kd_tree(name):
+    detectors = LAYOUTS[name]()
+    expected = _kd_tree_ratio(detectors)
+    assert (expected is None) == (name == "duplicated")
+    assert _quasi_uniformity(detectors) == expected
+
+
+@pytest.mark.parametrize("name", ["lattice-33-50x50", "cluster-and-outliers", "duplicated"])
+def test_quasi_uniformity_is_the_same_in_small_pair_batches(monkeypatch, name):
+    # a budget below one query's candidate count splits the pair batches
+    monkeypatch.setattr(inversion, "_PAIR_BUDGET", 50)
+    detectors = LAYOUTS[name]()
+    probe = inversion._quasi_uniformity_of.__wrapped__
+    assert probe(detectors.shape[0], detectors.tobytes()) == _kd_tree_ratio(detectors)
+
+
+def test_quasi_uniformity_memo_follows_the_coordinates():
     rng = np.random.default_rng(5)
     for _ in range(3):
         detectors = rng.uniform(0.0, np.pi, (40, 2))
-        tree = cKDTree(detectors)
-        side = np.linspace(0.0, np.pi, 101)
-        X, Y = np.meshgrid(side, side, indexing="xy")
-        d_max = tree.query(np.column_stack([X.ravel(), Y.ravel()]))[0].max()
-        d_min = tree.query(detectors, k=2)[0][:, 1].min()
-        assert _quasi_uniformity(detectors) == d_max / d_min
+        assert _quasi_uniformity(detectors) == _kd_tree_ratio(detectors)

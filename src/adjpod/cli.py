@@ -135,7 +135,7 @@ def _cmd_denoise(args) -> int:
     ms = inversion.MeasurementSet(
         detectors=detectors, readings=readings,
         sigma=args.sigma if args.sigma is not None else 0.0,
-        p=0.0, seed=None, quasi_uniformity=None)
+        p=0.0, seed=None)
     if args.alpha == "auto":
         if args.sigma is None:
             raise ValueError("--alpha auto needs --sigma (the noise scale)")

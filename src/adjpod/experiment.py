@@ -23,6 +23,7 @@ from __future__ import annotations
 import configparser
 import contextlib
 import functools
+import math
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -284,6 +285,32 @@ def detector_nodes(grid: Grid2D, spec: str) -> np.ndarray:
     return (iy[:, None] * grid.nx + ix[None, :]).ravel()
 
 
+def _quasi_uniformity(xs: np.ndarray, ys: np.ndarray) -> Optional[float]:
+    """Fill-to-separation ratio d_max / d_min of the detector lattice xs x ys
+    (the sorted columns' x and rows' y values); None below two detectors.
+
+    d_max is the largest distance from a point of the 101 x 101 probe lattice
+    on the domain to its nearest detector, d_min the least distance between
+    two detectors.  On a product lattice both split by axis, with p the probe
+    line:
+
+        d_max^2 = max_p min_i (p - xs_i)^2 + max_p min_j (p - ys_j)^2
+        d_min^2 = min of diff(a)^2 over the axes a with two or more entries
+
+    This is exact in floating point, not only in exact arithmetic: rounding
+    is monotone, so the least fl(dx^2 + dy^2) over a product set is
+    fl(min dx^2 + min dy^2) and its largest value over the probes is the sum
+    of the per-axis maxima, and along one sorted axis an adjacent difference
+    is the shortest.  A nearest-neighbour query over every probe and
+    detector gives the same ratio bit for bit.
+    """
+    probes = np.linspace(0.0, DOMAIN_SIDE, 101)
+    d_max = math.sqrt(sum(float(((probes[:, None] - a) ** 2).min(1).max())
+                          for a in (xs, ys)))
+    gaps = [float((np.diff(a) ** 2).min()) for a in (xs, ys) if a.size > 1]
+    return d_max / math.sqrt(min(gaps)) if gaps else None
+
+
 def relative_l2_error(ops, recovered: np.ndarray, truth: np.ndarray) -> float:
     return ops.norm(recovered - truth) / ops.norm(truth)
 
@@ -430,6 +457,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
 
     with _stage("measure"):
         det_idx = detector_nodes(grid, cfg.detectors)
+        iy, ix = np.divmod(det_idx, grid.nx)
         det_pts = grid.coords[det_idx]
         clean = u_final[det_idx]
         ms = inversion.add_noise(det_pts, clean, cfg.noise, cfg.seed)
@@ -439,7 +467,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
             "noise_level": ms.p,
             "sigma": ms.sigma,
             "seed": ms.seed,
-            "quasi_uniformity": ms.quasi_uniformity,
+            "quasi_uniformity": _quasi_uniformity(grid.xs[np.unique(ix)],
+                                                  grid.ys[np.unique(iy)]),
             "noise_convention": "sigma = p * max|clean readings|",
         })
 

@@ -13,7 +13,6 @@ f = Q (w / (w^2 + lambda)) Q^T m and each descent step is diagonal.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -33,127 +32,20 @@ _SNAP_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSet:
-    """Point detectors with (possibly noisy) readings of the final state."""
+    """Point detectors with (possibly noisy) readings of the final state.
+
+    Only the readings and their noise: the layout's quasi-uniformity is a
+    property of the detector lattice, which ``experiment`` reports."""
 
     detectors: np.ndarray     # (n, 2) positions inside the closed domain
     readings: np.ndarray      # (n,) measured values
     sigma: float              # absolute noise scale
     p: float                  # nominal relative noise level
     seed: Optional[int]
-    quasi_uniformity: Optional[float]   # d_max / d_min fill/separation ratio
 
     @property
     def n(self) -> int:
         return self.detectors.shape[0]
-
-
-def _quasi_uniformity(detectors: np.ndarray) -> Optional[float]:
-    """Fill-to-separation ratio d_max/d_min, probed on a fixed lattice."""
-    if detectors.shape[0] < 2:
-        return None
-    return _quasi_uniformity_of(detectors.shape[0], detectors.tobytes())
-
-
-@functools.lru_cache(maxsize=8)
-def _quasi_uniformity_of(n: int, coords: bytes) -> Optional[float]:
-    """The nearest-neighbour probe, memoized on the detector coordinates' bytes:
-    d_max is the largest distance from a 101 x 101 lattice point to its
-    nearest detector, d_min the smallest distance between two detectors."""
-    detectors = np.frombuffer(coords).reshape(n, 2)
-    side = np.linspace(0.0, np.pi, 101)
-    X, Y = np.meshgrid(side, side, indexing="xy")
-    probes = np.column_stack([X.ravel(), Y.ravel()])
-    own = np.concatenate([np.full(probes.shape[0], -1), np.arange(n)])
-    nearest = _nearest_squared(detectors, np.vstack([probes, detectors]), own)
-    d_max = math.sqrt(nearest[: probes.shape[0]].max())
-    d_min = math.sqrt(nearest[probes.shape[0]:].min())
-    return d_max / d_min if d_min > 0 else None
-
-
-_PAIR_BUDGET = 1 << 20      # (query, site) pairs formed at once
-
-
-def _nearest_squared(sites: np.ndarray, queries: np.ndarray,
-                     own: np.ndarray) -> np.ndarray:
-    """Squared distance dx*dx + dy*dy from each query to its nearest site,
-    leaving out site ``own[i]`` for query i (-1: leave out none).
-
-    Exact, as a KD-tree query is.  The sites are bucketed in square cells,
-    about two cells per site, numbered row-major, so the cells of one row
-    of a block are one slice of the sorted sites.  Each query scans the
-    block of cells within ``reach`` of its own cell, and ``reach`` doubles
-    for the queries whose best distance so far is longer than the least
-    distance to a site off their block (less a rounding margin).
-    """
-    lo = sites.min(0)
-    extent = sites.max(0) - lo
-    side = float(extent.max()) / math.sqrt(2 * sites.shape[0]) or 1.0
-    ncx, ncy = (extent / side).astype(int) + 1
-    top = [ncx - 1, ncy - 1]
-    pos = (queries - lo) / side         # in cell sides; may lie off the cells
-    cell = np.clip(pos, 0, top).astype(int)
-    site_cell = np.clip((sites - lo) / side, 0, top).astype(int)
-    key = site_cell[:, 1] * ncx + site_cell[:, 0]
-    order = np.argsort(key, kind="stable")
-    start = np.searchsorted(key[order], np.arange(ncx * ncy + 1))
-    sx, sy = sites[order, 0], sites[order, 1]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    own = np.where(own >= 0, rank[own], -1)
-    best = np.full(queries.shape[0], np.inf)
-    todo = np.arange(queries.shape[0])
-    reach = 1
-    while todo.size:
-        qx, qy, qown = queries[todo, 0], queries[todo, 1], own[todo]
-        cx, cy = cell[todo, 0], cell[todo, 1]
-        x0 = np.maximum(cx - reach, 0)
-        x1 = np.minimum(cx + reach + 1, ncx)
-        near = np.full(todo.size, np.inf)
-        for dy in range(-min(reach, ncy - 1), min(reach, ncy - 1) + 1):
-            inside = (cy + dy >= 0) & (cy + dy < ncy)
-            row = np.where(inside, cy + dy, 0) * ncx
-            near = np.minimum(near, _range_minima(
-                qx, qy, qown, np.where(inside, start[row + x0], 0),
-                np.where(inside, start[row + x1], 0), sx, sy))
-        best[todo] = near
-        # least squared distance, in cell sides, to a site off the block: past
-        # the block's edge on one axis, and inside the sites' box on the other;
-        # the 1e-9 margin covers the rounding of the cell positions
-        p = pos[todo]
-        off_box = np.maximum(0.0, np.maximum(-p, p - extent / side))
-        bound = np.full(todo.size, np.inf)
-        for c, q, n, across in ((cx, p[:, 0], ncx, off_box[:, 1]),
-                                (cy, p[:, 1], ncy, off_box[:, 0])):
-            below = np.where(c > reach, q - (c - reach), np.inf)
-            above = np.where(c + reach + 1 < n, c + reach + 1 - q, np.inf)
-            bound = np.minimum(bound, np.minimum(below, above) ** 2 + across ** 2)
-        todo = todo[near > bound * (side * (1.0 - 1e-9)) ** 2]
-        reach *= 2
-    return best
-
-
-def _range_minima(qx, qy, qown, first, last, sx, sy) -> np.ndarray:
-    """For each query i, the least dx*dx + dy*dy from (qx[i], qy[i]) to the
-    sites first[i]:last[i] other than site qown[i] (inf: none)."""
-    out = np.full(first.size, np.inf)
-    counts = last - first
-    hit = np.flatnonzero(counts)
-    if not hit.size:
-        return out
-    ends = np.cumsum(counts[hit])
-    for part in np.split(hit, np.searchsorted(ends, np.arange(_PAIR_BUDGET, ends[-1],
-                                                                _PAIR_BUDGET))):
-        if not part.size:
-            continue
-        n = counts[part]
-        offsets = np.cumsum(n) - n
-        site = np.arange(offsets[-1] + n[-1]) + np.repeat(first[part] - offsets, n)
-        dx = np.repeat(qx[part], n) - sx[site]
-        dy = np.repeat(qy[part], n) - sy[site]
-        d2 = dx * dx + dy * dy
-        d2[site == np.repeat(qown[part], n)] = np.inf
-        out[part] = np.minimum.reduceat(d2, offsets)
-    return out
 
 
 def add_noise(detectors: np.ndarray, clean: np.ndarray, p: float,
@@ -173,8 +65,7 @@ def add_noise(detectors: np.ndarray, clean: np.ndarray, p: float,
         rng = np.random.default_rng(seed)
         readings = readings + sigma * rng.standard_normal(clean.shape)
     return MeasurementSet(detectors=detectors, readings=readings, sigma=sigma,
-                          p=float(p), seed=seed,
-                          quasi_uniformity=_quasi_uniformity(detectors))
+                          p=float(p), seed=seed)
 
 
 def snap_detectors_to_nodes(grid: Grid2D, detectors: np.ndarray) -> np.ndarray:

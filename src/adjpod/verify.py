@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .fem import CoefficientSet, assemble_operators
 from .grid import Grid2D
 from .pod import compute_pod_basis, projection_error_ratio
 from .spectral import (ProblemKind, SpectralCoefficients, adjoint_response_factor,
@@ -122,11 +121,9 @@ def verify_span_equality(tm: TheoryMatrices, tol: float = 1e-10) -> dict:
 
 def verify_pod_bound(kind: ProblemKind, L: int, M: int, T: float,
                      fcoeffs: SpectralCoefficients, grid: Grid2D,
-                     n_pod: Optional[int] = None,
-                     ops=None) -> dict:
-    """``pod_bound_report`` on the modal problem built from these arguments."""
-    if ops is None:
-        ops = assemble_operators(grid, CoefficientSet(q=1.0, c=0.0))
+                     n_pod: Optional[int] = None, *, ops) -> dict:
+    """``pod_bound_report`` on the modal problem built from these arguments,
+    with ``ops`` the grid's q = 1, c = 0 operators."""
     return pod_bound_report(build_theory_matrices(kind, L, M, T, fcoeffs, grid), ops, n_pod)
 
 

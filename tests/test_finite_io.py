@@ -68,7 +68,7 @@ def test_read_matrix_csv_counts_blank_lines(tmp_path):
 def test_read_measurements_csv_names_the_file_and_line(tmp_path, bad):
     readings = np.array([0.1, bad, 0.3, 0.4])
     ms = MeasurementSet(detectors=_detectors(), readings=readings, sigma=0.0,
-                        p=0.0, seed=None, quasi_uniformity=None)
+                        p=0.0, seed=None)
     path = tmp_path / "meas.csv"
     write_measurements_csv(path, ms)
     with pytest.raises(ValueError, match=f"meas.csv:3: non-finite value {bad}"):

@@ -1,8 +1,9 @@
 """``import adjpod`` loads only the scipy subpackages the pipeline calls.
 
-The detector quasi-uniformity probe is plain numpy, so neither
-``scipy.spatial`` nor ``scipy.special`` (which ``scipy.spatial`` pulls in)
-belongs in a fresh process that imported the library and its CLI.
+The detector quasi-uniformity is a closed form on the detector lattice's
+axes, with no nearest-neighbour search, so neither ``scipy.spatial`` nor
+``scipy.special`` (which ``scipy.spatial`` pulls in) belongs in a fresh
+process that imported the library and its CLI.
 """
 
 import os

@@ -4,8 +4,8 @@ rejects, and the library pieces the CLI's analytic checks run through."""
 import numpy as np
 import pytest
 
+import adjpod.experiment
 import adjpod.spectral
-import adjpod.verify
 from adjpod import (CoefficientSet, SpectralCoefficients, TimeGrid,
                     assemble_operators, build_adjoint_pod, build_grid,
                     build_traditional_pod, collect_snapshots, compute_pod_basis,
@@ -107,9 +107,11 @@ def test_distinct_mu_subset_computes_the_eigenvalues_once(monkeypatch):
 
 
 def test_verify_theory_assembles_no_operators_per_kind_and_level(monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("verify-theory assembled operators per check")
-
-    monkeypatch.setattr(adjpod.verify, "assemble_operators", refuse)
+    calls = []
+    real = adjpod.experiment.assemble_operators
+    monkeypatch.setattr(adjpod.experiment, "assemble_operators",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    adjpod.experiment._problem.cache_clear()      # the operators are built here
     assert main(["verify-theory", "--levels", "2,3", "--nx", "17", "--ny", "17"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+    assert len(calls) == 1                 # once per run, not per kind and level

@@ -1,17 +1,16 @@
 """Vectorized kernels against the per-element loops they replace: the
 five-point stencil, the CSV writers and the modal projection; and the
-numpy nearest-neighbour probe against a KD-tree query."""
+detector lattice's closed-form quasi-uniformity against a KD-tree query."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from adjpod import (CoefficientSet, MeasurementSet, assemble_operators, build_grid,
-                    laplacian_stencil, mode_table, project_onto_modes,
-                    write_field_csv, write_matrix_csv, write_measurements_csv)
-from adjpod import inversion
-from adjpod.experiment import detector_nodes
-from adjpod.inversion import _quasi_uniformity
+from adjpod import (CoefficientSet, ExperimentConfig, MeasurementSet, assemble_operators,
+                    build_grid, laplacian_stencil, mode_table, project_onto_modes,
+                    read_json, read_measurements_csv, run_experiment, write_field_csv,
+                    write_matrix_csv, write_measurements_csv)
+from adjpod.experiment import _quasi_uniformity, detector_nodes
 from adjpod.spectral import laplace_eigenpair
 
 _FMT = "%.17g"
@@ -79,7 +78,7 @@ def test_measurement_writer_matches_the_per_value_formatter(tmp_path, n):
     detectors = rng.uniform(0.0, np.pi, (n, 2))
     readings = _values(rng, max(n, SPECIAL.size))[:n]
     ms = MeasurementSet(detectors=detectors, readings=readings, sigma=0.0, p=0.0,
-                        seed=None, quasi_uniformity=None)
+                        seed=None)
     path = tmp_path / "meas.csv"
     write_measurements_csv(path, ms)
     lines = ["x,y,reading"] + [f"{_FMT % x},{_FMT % y},{_FMT % r}"
@@ -107,7 +106,7 @@ def test_projection_matches_the_mode_by_mode_sum(shape, L):
 
 def _kd_tree_ratio(detectors):
     """The fill/separation ratio as a KD-tree query gives it: the reference
-    the numpy probe must match bit for bit."""
+    the closed form must match bit for bit."""
     from scipy.spatial import cKDTree
 
     tree = cKDTree(detectors)
@@ -118,56 +117,40 @@ def _kd_tree_ratio(detectors):
     return d_max / d_min if d_min > 0 else None
 
 
-def _lattice(n, spec):
-    grid = build_grid(n, n)
-    return grid.coords[detector_nodes(grid, spec)]
+def _lattice(shape, spec):
+    """The detector coordinates of ``detector_nodes`` and the lattice's axes."""
+    grid = build_grid(*shape)
+    nodes = detector_nodes(grid, spec)
+    iy, ix = np.divmod(nodes, grid.nx)
+    return grid.coords[nodes], grid.xs[np.unique(ix)], grid.ys[np.unique(iy)]
 
 
-def _cluster_with_outliers():
-    rng = np.random.default_rng(17)
-    cluster = 1.3 + 1e-4 * rng.standard_normal((200, 2))
-    return np.vstack([cluster, [[0.0, 0.0], [np.pi, 0.2], [0.1, np.pi], [3.0, 3.1]]])
+SPECS = ("50x50", "10x10", "1x3", "3x1", "2x7", "100x100")
+SHAPES = {"9": (9, 9), "9x17": (9, 17), "13x11": (13, 11), "33": (33, 33),
+          "51": (51, 51), "101": (101, 101)}
 
 
-def _duplicated():
-    detectors = np.random.default_rng(19).uniform(0.0, np.pi, (30, 2))
-    detectors[23] = detectors[4]
-    return detectors
-
-
-LAYOUTS = {
-    **{f"lattice-{n}-{spec}": (lambda n=n, spec=spec: _lattice(n, spec))
-       for n in (9, 33, 101) for spec in ("50x50", "10x10", "1x3")},
-    "two-points": lambda: np.array([[0.4, 2.5], [2.9, 0.1]]),
-    "collinear": lambda: np.column_stack([np.linspace(0.2, 2.9, 40),
-                                          np.linspace(0.1, 1.4, 40)]),
-    "on-an-axis-line": lambda: np.column_stack([np.linspace(0.0, np.pi, 60),
-                                                np.zeros(60)]),
-    "cluster-and-outliers": _cluster_with_outliers,
-    "random-2500": lambda: np.random.default_rng(23).uniform(0.0, np.pi, (2500, 2)),
-    "duplicated": _duplicated,
-}
-
-
-@pytest.mark.parametrize("name", sorted(LAYOUTS))
+@pytest.mark.parametrize("name", [f"lattice-{g}-{spec}" for g in SHAPES for spec in SPECS])
 def test_quasi_uniformity_matches_the_kd_tree(name):
-    detectors = LAYOUTS[name]()
+    _, shape, spec = name.split("-")
+    detectors, xs, ys = _lattice(SHAPES[shape], spec)
     expected = _kd_tree_ratio(detectors)
-    assert (expected is None) == (name == "duplicated")
-    assert _quasi_uniformity(detectors) == expected
+    assert expected is not None
+    assert _quasi_uniformity(xs, ys) == expected
 
 
-@pytest.mark.parametrize("name", ["lattice-33-50x50", "cluster-and-outliers", "duplicated"])
-def test_quasi_uniformity_is_the_same_in_small_pair_batches(monkeypatch, name):
-    # a budget below one query's candidate count splits the pair batches
-    monkeypatch.setattr(inversion, "_PAIR_BUDGET", 50)
-    detectors = LAYOUTS[name]()
-    probe = inversion._quasi_uniformity_of.__wrapped__
-    assert probe(detectors.shape[0], detectors.tobytes()) == _kd_tree_ratio(detectors)
+@pytest.mark.parametrize("shape", [(9, 9), (9, 17), (101, 101)])
+def test_quasi_uniformity_of_one_detector_is_none(shape):
+    detectors, xs, ys = _lattice(shape, "1x1")
+    assert detectors.shape == (1, 2)
+    assert _quasi_uniformity(xs, ys) is None
 
 
-def test_quasi_uniformity_memo_follows_the_coordinates():
-    rng = np.random.default_rng(5)
-    for _ in range(3):
-        detectors = rng.uniform(0.0, np.pi, (40, 2))
-        assert _quasi_uniformity(detectors) == _kd_tree_ratio(detectors)
+def test_measurements_json_reports_the_kd_tree_ratio(tmp_path):
+    cfg = ExperimentConfig(nx=13, ny=11, M=6, detectors="4x5", max_snapshots=7,
+                           n_pod=3, energy=None)
+    run_experiment(cfg, str(tmp_path))
+    detectors = read_measurements_csv(tmp_path / "measurements.csv")[0]
+    assert detectors.shape == (20, 2)
+    reported = read_json(tmp_path / "measurements.json")["quasi_uniformity"]
+    assert reported == _kd_tree_ratio(detectors)

@@ -132,10 +132,11 @@ def _cmd_denoise(args) -> int:
     # denoising is stationary: the kind and time grid go unused
     _, grid, ops, _ = build_problem("source", args.nx, args.ny, None, 1, args.q, args.c)
     detectors, readings = serialize.read_measurements_csv(args.measurements)
+    if not readings.size:
+        raise ValueError(f"{args.measurements}: need at least one detector")
     ms = inversion.MeasurementSet(
         detectors=detectors, readings=readings,
-        sigma=args.sigma if args.sigma is not None else 0.0,
-        p=0.0, seed=None)
+        sigma=args.sigma if args.sigma is not None else 0.0)
     if args.alpha == "auto":
         if args.sigma is None:
             raise ValueError("--alpha auto needs --sigma (the noise scale)")
@@ -269,10 +270,13 @@ def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     overrides = tuple(args.set or [])
-    jobs = []
+    jobs, owner = [], {}
     for path in args.configs:
-        stem = os.path.splitext(os.path.basename(path))[0]
-        jobs.append((path, overrides, os.path.join(args.out, stem)))
+        out_dir = os.path.join(args.out, os.path.splitext(os.path.basename(path))[0])
+        if out_dir in owner:
+            raise ValueError(f"configs {owner[out_dir]} and {path} share output {out_dir}")
+        owner[out_dir] = path
+        jobs.append((path, overrides, out_dir))
     workers = min(args.jobs, len(jobs))
     if workers == 1:
         results = [_sweep_one(job) for job in jobs]

@@ -190,12 +190,8 @@ class ExperimentConfig:
                 raise ValueError(f"{_CONFIG_KEYS[name]}: {rule}, got {getattr(self, name)}")
 
     @property
-    def problem_kind(self) -> ProblemKind:
-        return ProblemKind.parse(self.kind)
-
-    @property
     def final_time(self) -> float:
-        return self.T if self.T is not None else DEFAULT_T[self.problem_kind]
+        return self.T if self.T is not None else DEFAULT_T[ProblemKind.parse(self.kind)]
 
     def to_dict(self) -> dict:
         out = {}
@@ -235,8 +231,8 @@ _CONFIG_KEYS = {name: f"{section}.{key}"
                 for (section, key), (name, _) in _CONFIG_SCHEMA.items()}
 
 
-def load_config(path: Optional[str] = None, overrides: Tuple[str, ...] = (),
-                base: Optional[ExperimentConfig] = None) -> ExperimentConfig:
+def load_config(path: Optional[str] = None,
+                overrides: Tuple[str, ...] = ()) -> ExperimentConfig:
     """Config from an INI-style file plus ``section.key=value`` overrides.
 
     Unknown sections or keys fail fast rather than being ignored.
@@ -263,8 +259,7 @@ def load_config(path: Optional[str] = None, overrides: Tuple[str, ...] = (),
             updates[name] = cast(raw)
         except ValueError as exc:
             raise ValueError(f"{_CONFIG_KEYS[name]}: {exc}") from exc
-    base = base if base is not None else ExperimentConfig()
-    return replace(base, **updates) if updates else base
+    return ExperimentConfig(**updates)
 
 
 def parse_detector_spec(spec: str) -> Tuple[int, int]:
@@ -327,13 +322,12 @@ def auto_lambda(ms, model) -> float:
     return max(rel_noise ** 2 * s_max ** 2, 1e-10)
 
 
-def hminus1_surrogate_error(ops, recovered: np.ndarray, truth: np.ndarray,
-                            n_modes: int = 64) -> float:
-    """Spectrally weighted (1/sqrt(mu)) relative error — a smoothing-norm
-    surrogate, meaningful on the q=1, c=0 oracle problem and labeled as
-    such in the metrics."""
-    err = project_onto_modes(recovered - truth, ops, n_modes)
-    ref = project_onto_modes(truth, ops, n_modes)
+def hminus1_surrogate_error(ops, recovered: np.ndarray, truth: np.ndarray) -> float:
+    """Spectrally weighted (1/sqrt(mu)) relative error over the 64 lowest
+    analytic modes — a smoothing-norm surrogate, meaningful on the q=1, c=0
+    oracle problem and labeled as such in the metrics."""
+    err = project_onto_modes(recovered - truth, ops, 64)
+    ref = project_onto_modes(truth, ops, 64)
     w = 1.0 / np.sqrt(err.mus)
     den = np.linalg.norm(ref.values * w)
     return float(np.linalg.norm(err.values * w) / den) if den > 0 else np.inf
@@ -428,6 +422,9 @@ def _truth_stage(problem: tuple, truth: str, max_snapshots: int, n_pod: int,
         t0 = time.perf_counter()
         snapshots = snapshot_set(kind, field, ops, tg, max_snapshots)
         solve_s = time.perf_counter() - t0
+        if ops.norm(snapshots.states[-1]) == 0.0:
+            raise ValueError("the truth's final state underflows to zero: "
+                             "coefficients.c, coefficients.q or time.t decay it too far")
     with _stage("basis"):
         traditional = build_traditional_pod(kind, snapshots, **_pod_size(n_pod, energy))
     final = snapshots.states[-1].copy()
@@ -464,9 +461,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
         serialize.write_measurements_csv(os.path.join(out, "measurements.csv"), ms)
         serialize.write_json(os.path.join(out, "measurements.json"), {
             "n_detectors": ms.n,
-            "noise_level": ms.p,
+            "noise_level": float(cfg.noise),
             "sigma": ms.sigma,
-            "seed": ms.seed,
+            "seed": cfg.seed,
             "quasi_uniformity": _quasi_uniformity(grid.xs[np.unique(ix)],
                                                   grid.ys[np.unique(iy)]),
             "noise_convention": "sigma = p * max|clean readings|",
@@ -484,6 +481,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
             else:
                 alpha_used = float(cfg.alpha)
             m_field = inversion.denoise(ms, grid, alpha_used)
+            if ops.norm(m_field) == 0.0 and np.any(ms.readings):
+                raise ValueError(f"measurement.alpha={alpha_used:.6g} smooths the "
+                                 f"readings to a zero field; lower it")
             denoise_info["rel_l2_error_vs_clean_state"] = relative_l2_error(
                 ops, m_field, u_final)
             serialize.write_field_csv(os.path.join(out, "denoised.csv"), grid, m_field)

@@ -49,12 +49,6 @@ class CoefficientSet:
     q: CoefficientFn = 1.0
     c: CoefficientFn = 0.0
 
-    def q_at(self, x, y):
-        return np.asarray(_as_callable(self.q)(x, y), dtype=float)
-
-    def c_at(self, x, y):
-        return np.asarray(_as_callable(self.c)(x, y), dtype=float)
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -156,8 +150,8 @@ def assemble_operators(grid: Grid2D, coeffs: CoefficientSet) -> DiscreteOperator
 
     mids = np.stack([(p1 + p2) / 2, (p2 + p3) / 2, (p3 + p1) / 2], axis=1)  # (ntri, 3, 2)
     mx, my = mids[:, :, 0], mids[:, :, 1]
-    q_samples = coeffs.q_at(mx, my)
-    c_samples = coeffs.c_at(mx, my)
+    q_samples = np.asarray(_as_callable(coeffs.q)(mx, my), dtype=float)
+    c_samples = np.asarray(_as_callable(coeffs.c)(mx, my), dtype=float)
     for name, samples in (("diffusion coefficient q", q_samples),
                           ("reaction coefficient c", c_samples)):
         if not np.all(np.isfinite(samples)):

@@ -44,9 +44,6 @@ class Grid2D:
         """Mesh spacing along x (equals hy on square grids)."""
         return self.hx
 
-    def node_index(self, ix, iy):
-        return iy * self.nx + ix
-
 
 def build_grid(nx: int, ny: int) -> Grid2D:
     """Build the structured triangulation with nx*ny nodes.

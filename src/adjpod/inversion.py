@@ -40,8 +40,6 @@ class MeasurementSet:
     detectors: np.ndarray     # (n, 2) positions inside the closed domain
     readings: np.ndarray      # (n,) measured values
     sigma: float              # absolute noise scale
-    p: float                  # nominal relative noise level
-    seed: Optional[int]
 
     @property
     def n(self) -> int:
@@ -64,8 +62,7 @@ def add_noise(detectors: np.ndarray, clean: np.ndarray, p: float,
     if sigma > 0:
         rng = np.random.default_rng(seed)
         readings = readings + sigma * rng.standard_normal(clean.shape)
-    return MeasurementSet(detectors=detectors, readings=readings, sigma=sigma,
-                          p=float(p), seed=seed)
+    return MeasurementSet(detectors=detectors, readings=readings, sigma=sigma)
 
 
 def snap_detectors_to_nodes(grid: Grid2D, detectors: np.ndarray) -> np.ndarray:
@@ -109,6 +106,8 @@ def denoise(ms: MeasurementSet, grid: Grid2D, alpha: float) -> np.ndarray:
     """
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"denoising weight alpha must be finite and positive, got {alpha}")
+    if ms.n < 1:
+        raise ValueError(f"need at least one detector, got {ms.n}")
     nodes = snap_detectors_to_nodes(grid, ms.detectors)
     P, lu = _denoise_factors(grid, nodes, alpha)
     idx = grid.interior

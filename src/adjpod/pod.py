@@ -37,16 +37,8 @@ class SnapshotSet:
     max_snapshots: int          # the budget the states were sampled to
 
     @property
-    def count(self) -> int:
-        return self.snapshots.shape[0]
-
-    @property
     def states(self) -> np.ndarray:
         return self.snapshots[: self.m_steps + 1]
-
-    @property
-    def quotients(self) -> np.ndarray:
-        return self.snapshots[self.m_steps + 1:]
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -34,8 +34,10 @@ def _content_lines(path):
         return [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
 
 
-def _parse_row(path, no: int, line: str) -> np.ndarray:
+def _parse_row(path, no: int, line: str, width: Optional[int] = None) -> np.ndarray:
     row = np.array([float(tok) for tok in line.split(",")])
+    if width is not None and row.size != width:
+        raise ValueError(f"{path}:{no}: expected {width} values, got {row.size}")
     if not np.all(np.isfinite(row)):
         bad = row[~np.isfinite(row)][0]
         raise ValueError(f"{path}:{no}: non-finite value {bad}")
@@ -63,8 +65,8 @@ def write_field_csv(path, grid: Grid2D, values: np.ndarray) -> None:
 
 def read_field_csv(path) -> Tuple[Grid2D, np.ndarray]:
     lines = _content_lines(path)
-    if not lines or lines[0][1] != "nx,ny,h":
-        raise ValueError(f"{path}: missing 'nx,ny,h' header line")
+    if len(lines) < 2 or lines[0][1] != "nx,ny,h" or lines[1][1].count(",") != 2:
+        raise ValueError(f"{path}: missing 'nx,ny,h' header line or its 3 values")
     nx_s, ny_s, h_s = lines[1][1].split(",")
     nx, ny, h = int(nx_s), int(ny_s), float(h_s)
     grid = build_grid(nx, ny)
@@ -86,23 +88,16 @@ def read_matrix_csv(path) -> np.ndarray:
     return np.vstack([_parse_row(path, no, ln) for no, ln in _content_lines(path)])
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+def _json_leaf(obj):
+    """The plain Python value of a numpy array or scalar, for ``json``."""
+    return obj.tolist()
 
 
 def write_json(path, payload: dict) -> None:
     """Write ``payload`` as indented JSON in one ``write``; ``json.dump``
     with an indent makes one call per token."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, default=_json_leaf) + "\n")
 
 
 def read_json(path) -> dict:
@@ -150,5 +145,5 @@ def read_measurements_csv(path) -> Tuple[np.ndarray, np.ndarray]:
     lines = _content_lines(path)
     if not lines or lines[0][1] != "x,y,reading":
         raise ValueError(f"{path}: missing 'x,y,reading' header")
-    data = np.array([_parse_row(path, no, ln) for no, ln in lines[1:]])
+    data = np.array([_parse_row(path, no, ln, 3) for no, ln in lines[1:]]).reshape(-1, 3)
     return data[:, :2], data[:, 2]

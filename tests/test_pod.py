@@ -33,17 +33,18 @@ def _random_snapshots(rng, grid, count):
 
 def test_collect_snapshots_counts_states_and_quotients(trajectory, ops):
     snaps = collect_snapshots(trajectory, ops)
-    assert snaps.count == 2 * 12 + 1
+    assert snaps.snapshots.shape[0] == 2 * 12 + 1
     assert snaps.states.shape == (13, trajectory.states.shape[1])
-    assert snaps.quotients.shape == (12, trajectory.states.shape[1])
+    quotients = snaps.snapshots[snaps.m_steps + 1:]
+    assert quotients.shape == (12, trajectory.states.shape[1])
     dt = trajectory.tg.dt
     np.testing.assert_allclose(
-        snaps.quotients[0], (trajectory.states[1] - trajectory.states[0]) / dt)
+        quotients[0], (trajectory.states[1] - trajectory.states[0]) / dt)
 
 
 def test_collect_snapshots_subsamples_to_budget(trajectory, ops):
     snaps = collect_snapshots(trajectory, ops, max_snapshots=9)
-    assert snaps.count == 9
+    assert snaps.snapshots.shape[0] == 9
     assert snaps.m_steps == 4
     np.testing.assert_allclose(snaps.times[0], 0.0)
     np.testing.assert_allclose(snaps.times[-1], trajectory.tg.T)

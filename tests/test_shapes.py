@@ -43,10 +43,10 @@ def test_smooth_shapes_match_their_formulas():
 def test_sin2_sign_structure():
     grid = build_grid(33, 33)
     values = make_shape("sin2", grid)
-    mid = grid.node_index(16, 16)          # (pi/2, pi/2): sin(pi) = 0
+    mid = 16 * grid.nx + 16                # (pi/2, pi/2): sin(pi) = 0
     assert values[mid] == pytest.approx(0.0, abs=1e-12)
-    quarter = grid.node_index(8, 8)        # (pi/4, pi/4): positive lobe
-    three_quarter = grid.node_index(24, 8)  # (3pi/4, pi/4): negative lobe
+    quarter = 8 * grid.nx + 8              # (pi/4, pi/4): positive lobe
+    three_quarter = 8 * grid.nx + 24       # (3pi/4, pi/4): negative lobe
     assert values[quarter] > 0.9
     assert values[three_quarter] < -0.9
 

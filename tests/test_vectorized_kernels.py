@@ -77,8 +77,7 @@ def test_measurement_writer_matches_the_per_value_formatter(tmp_path, n):
     rng = np.random.default_rng(13)
     detectors = rng.uniform(0.0, np.pi, (n, 2))
     readings = _values(rng, max(n, SPECIAL.size))[:n]
-    ms = MeasurementSet(detectors=detectors, readings=readings, sigma=0.0, p=0.0,
-                        seed=None)
+    ms = MeasurementSet(detectors=detectors, readings=readings, sigma=0.0)
     path = tmp_path / "meas.csv"
     write_measurements_csv(path, ms)
     lines = ["x,y,reading"] + [f"{_FMT % x},{_FMT % y},{_FMT % r}"

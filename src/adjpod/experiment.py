@@ -112,6 +112,20 @@ def _penalty_fits(raw, nx: int, ny: int) -> bool:
     return bool(np.isfinite(float(raw) * hx * hy * largest))
 
 
+def _stiffness_fits(raw, nx: int, ny: int) -> bool:
+    """Whether the stiffness matrix of a constant diffusion coefficient
+    ``raw`` stays finite on an nx x ny grid.  Assembly forms the element
+    scale q / (4 * area) = q / (2 hx hy), and the largest assembled entry is
+    the diagonal 2 q (hx/hy + hy/hx) at an interior node.  A coefficient
+    that is no positive number, or a grid under 3 x 3, fails its own rule
+    and passes this one."""
+    if not _positive(raw) or min(nx, ny) < 3:
+        return True
+    hx, hy = DOMAIN_SIDE / (nx - 1), DOMAIN_SIDE / (ny - 1)
+    largest = max(0.5, 2.0 * (hx * hx + hy * hy)) / (hx * hy)
+    return bool(np.isfinite(float(raw) * largest))
+
+
 def _non_negative(raw) -> bool:
     value = _parsed(float, raw, np.nan)
     return bool(np.isfinite(value) and value >= 0)
@@ -157,6 +171,9 @@ class ExperimentConfig:
              "final time must be finite and positive"),
             ("q", self.q in _NAMED_COEFFS or _positive(self.q),
              f"diffusion coefficient q must be a finite number > 0 or one of: {profiles}"),
+            ("q", self.q in _NAMED_COEFFS or _stiffness_fits(self.q, self.nx, self.ny),
+             f"diffusion coefficient q overflows the stiffness matrix on a "
+             f"{self.nx}x{self.ny} grid"),
             ("c", self.c in _NAMED_COEFFS or _non_negative(self.c),
              f"reaction coefficient c must be a finite number >= 0 or one of: {profiles}"),
             ("noise", _non_negative(self.noise), "noise level must be finite and >= 0"),

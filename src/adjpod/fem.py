@@ -180,6 +180,9 @@ def assemble_operators(grid: Grid2D, coeffs: CoefficientSet) -> DiscreteOperator
     jj = tris[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
     n = grid.n_nodes
     stiffness = sp.coo_matrix((k_local.ravel(), (ii, jj)), shape=(n, n)).tocsr()
+    if not np.all(np.isfinite(stiffness.data)):     # the sum at a node overflows
+        raise ValueError("diffusion coefficient q and reaction coefficient c overflow "
+                         "the assembled stiffness matrix on this grid")
     mass = sp.coo_matrix((m_local.ravel(), (ii, jj)), shape=(n, n)).tocsr()
     return DiscreteOperators(grid=grid, mass=mass, stiffness=stiffness)
 

@@ -102,7 +102,9 @@ def denoise(ms: MeasurementSet, grid: Grid2D, alpha: float) -> np.ndarray:
     finite, and an alpha whose penalty overflows the normal matrix (or
     underflows so that it is singular) is rejected, naming alpha.  The
     factorization is kept for the most recent grid shape, detector layout
-    and alpha, so readings that differ only in their values reuse it.
+    and alpha once the same grid shape and layout come in two calls in a
+    row, so later readings that differ only in their values reuse it; the
+    first call on a layout keeps no factors.
     """
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"denoising weight alpha must be finite and positive, got {alpha}")
@@ -116,20 +118,25 @@ def denoise(ms: MeasurementSet, grid: Grid2D, alpha: float) -> np.ndarray:
     return u
 
 
-# (nx, ny, detector node bytes, alpha) -> (P, LU of the interior normal
-# matrix); at most one entry, since one LU takes megabytes on a fine grid.
-# Not an lru_cache(maxsize=1), which keeps the old LU alive while the next
+# (nx, ny, detector node bytes) of the last call -> (alpha, P, LU of the
+# interior normal matrix), or None: an LU is kept only once its layout
+# repeats, so a process that denoises once (a fine-grid run) does not carry
+# megabytes of factors through the POD that follows, while a noise study on
+# one layout reuses them from its second call on.  At most one entry, and
+# not an lru_cache(maxsize=1), which keeps the old LU alive while the next
 # one is factorized: this dict drops it first.
 _DENOISE_MEMO: dict = {}
 
 
 def _denoise_factors(grid: Grid2D, nodes: np.ndarray, alpha: float):
     """(sampling matrix P, splu of the interior normal matrix) of ``denoise``,
-    kept for the most recent grid shape, detector layout and alpha."""
-    key = (grid.nx, grid.ny, nodes.tobytes(), alpha)
-    held = _DENOISE_MEMO.get(key)
-    if held is not None:
-        return held
+    kept for the most recent grid shape, detector layout and alpha once
+    that layout has come twice in a row."""
+    layout = (grid.nx, grid.ny, nodes.tobytes())
+    repeats = layout in _DENOISE_MEMO
+    held = _DENOISE_MEMO.get(layout)
+    if held is not None and held[0] == alpha:
+        return held[1:]
     n = nodes.size
     P = sp.coo_matrix((np.ones(n), (np.arange(n), nodes)), shape=(n, grid.n_nodes)).tocsr()
     B = laplacian_stencil(grid)
@@ -145,7 +152,7 @@ def _denoise_factors(grid: Grid2D, nodes: np.ndarray, alpha: float):
         lu = splu(H[np.ix_(idx, idx)].tocsc())
     except RuntimeError as exc:     # a penalty that underflows leaves it singular
         raise ValueError(f"denoise system with alpha={alpha} is singular ({exc})") from None
-    _DENOISE_MEMO[key] = (P, lu)
+    _DENOISE_MEMO[layout] = (alpha, P, lu) if repeats else None
     return P, lu
 
 

@@ -34,8 +34,16 @@ def _content_lines(path):
         return [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
 
 
+def _number(path, no: int, token: str, parse=float, what: str = "not a number"):
+    """parse(token), or a ValueError naming the file, the line and the token."""
+    try:
+        return parse(token)
+    except ValueError:
+        raise ValueError(f"{path}:{no}: {what}: {token!r}") from None
+
+
 def _parse_row(path, no: int, line: str, width: Optional[int] = None) -> np.ndarray:
-    row = np.array([float(tok) for tok in line.split(",")])
+    row = np.array([_number(path, no, tok) for tok in line.split(",")])
     if width is not None and row.size != width:
         raise ValueError(f"{path}:{no}: expected {width} values, got {row.size}")
     if not np.all(np.isfinite(row)):
@@ -67,8 +75,11 @@ def read_field_csv(path) -> Tuple[Grid2D, np.ndarray]:
     lines = _content_lines(path)
     if len(lines) < 2 or lines[0][1] != "nx,ny,h" or lines[1][1].count(",") != 2:
         raise ValueError(f"{path}: missing 'nx,ny,h' header line or its 3 values")
-    nx_s, ny_s, h_s = lines[1][1].split(",")
-    nx, ny, h = int(nx_s), int(ny_s), float(h_s)
+    no, values = lines[1]
+    nx_s, ny_s, h_s = values.split(",")
+    nx = _number(path, no, nx_s, int, "nx is not an integer")
+    ny = _number(path, no, ny_s, int, "ny is not an integer")
+    h = _number(path, no, h_s, float, "h is not a number")
     grid = build_grid(nx, ny)
     if not np.isclose(h, grid.h, rtol=1e-12):
         raise ValueError(f"{path}: header spacing {h} inconsistent with nx={nx}")

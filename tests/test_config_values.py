@@ -4,11 +4,15 @@ Before, some of them ran silently (a gradient-descent knob in direct mode)
 and the others failed late, in the stage that first used them.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 import adjpod.cli
-from adjpod import ExperimentConfig, build_grid, laplacian_stencil, load_config
+from adjpod import (CoefficientSet, ExperimentConfig, assemble_operators, build_grid,
+                    laplacian_stencil, load_config)
 from adjpod.cli import main
 
 # (override, INI key named in the message)
@@ -45,6 +49,7 @@ BAD_VALUES = [
     ("coefficients.q=nan", "coefficients.q"),
     ("coefficients.q=0", "coefficients.q"),
     ("coefficients.q=-1", "coefficients.q"),
+    ("coefficients.q=1e308", "coefficients.q"),
     ("coefficients.c=varz", "coefficients.c"),
     ("coefficients.c=inf", "coefficients.c"),
     ("coefficients.c=-0.5", "coefficients.c"),
@@ -117,3 +122,37 @@ def test_alpha_rule_bounds_the_largest_penalty_entry(nx, ny):
     assert ExperimentConfig(nx=nx, ny=ny, alpha=repr(0.5 * edge)).alpha == repr(0.5 * edge)
     with pytest.raises(ValueError, match="^measurement.alpha: .*overflows"):
         ExperimentConfig(nx=nx, ny=ny, alpha=repr(2.0 * edge))
+
+
+def _q_accepted(nx, ny, q) -> bool:
+    try:
+        ExperimentConfig(nx=nx, ny=ny, q=repr(q))
+    except ValueError as exc:
+        assert str(exc).startswith("coefficients.q: diffusion coefficient q overflows "
+                                   f"the stiffness matrix on a {nx}x{ny} grid")
+        return False
+    return True
+
+
+@pytest.mark.parametrize("nx,ny", [(3, 3), (9, 9), (5, 64), (33, 17), (101, 101)])
+def test_q_rule_agrees_with_the_assembled_stiffness(nx, ny):
+    # the first three grids bind on the assembled diagonal, the others on the
+    # element scale q / (2 hx hy); rounding in the node coordinates moves the
+    # true threshold by about 1e-14 relative, inside the smallest step below
+    lo, hi = 1.0, float(np.finfo(float).max)
+    for _ in range(80):                     # bisect the rule's threshold in log q
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        lo, hi = (mid, hi) if _q_accepted(nx, ny, mid) else (lo, mid)
+    grid = build_grid(nx, ny)
+    for scale in (0.5, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12,
+                  1 + 1e-12, 1 + 1e-9, 1 + 1e-6, 1 + 1e-3, 2.0):
+        q = lo * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                assemble_operators(grid, CoefficientSet(q=q))
+                assembled = True
+            except ValueError as exc:
+                assert "overflow" in str(exc)
+                assembled = False
+        assert assembled == _q_accepted(nx, ny, q), (scale, q)

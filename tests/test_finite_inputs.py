@@ -110,9 +110,26 @@ def test_cli_invert_names_a_diffusion_coefficient_that_overflows(tmp_path, capsy
     captured = capsys.readouterr()
     text = captured.out + captured.err
     fails = [line for line in text.splitlines() if "FAIL" in line]
-    assert len(fails) == 1 and "diffusion coefficient q" in fails[0]
-    assert "stage 'setup'" in fails[0]
+    assert len(fails) == 1
+    assert "coefficients.q: diffusion coefficient q overflows" in fails[0]
+    assert "stage" not in fails[0]              # rejected at load, before setup
     assert "internal error" not in text
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_cli_forward_names_a_diffusion_coefficient_that_overflows(tmp_path, capsys):
+    # no config here: the check inside assemble_operators names q
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["forward", "--input", "sin2", "--nx", "9", "--ny", "9", "--M", "5",
+                     "--q", "1e308", "--out", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    fails = [line for line in text.splitlines() if "FAIL" in line]
+    assert len(fails) == 1
+    assert "diffusion coefficient q overflows the stiffness matrix" in fails[0]
+    assert "Traceback" not in text
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -245,10 +262,12 @@ def test_a_rejected_alpha_keeps_the_held_denoise_factorization(grid, noisy, monk
     monkeypatch.setattr(adjpod.inversion, "splu", lambda a: calls.append(a.shape) or real(a))
     monkeypatch.setattr(adjpod.inversion, "_DENOISE_MEMO", {})
     first = denoise(noisy, grid, 1e-6)
+    assert np.array_equal(denoise(noisy, grid, 1e-6), first)   # the layout repeats
+    assert len(calls) == 2                                     # so its LU is held
     with pytest.raises(ValueError, match="overflows"):
         denoise(noisy, grid, 1e308)
     assert np.array_equal(denoise(noisy, grid, 1e-6), first)
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_denoise_rejects_zero_detectors(grid):

@@ -1,6 +1,6 @@
-"""Non-finite readings and noise levels, and non-finite values in the CSV
-readers, are rejected with a message that names the value or the file
-and line."""
+"""Non-finite readings and noise levels, and non-finite or non-numeric
+values in the CSV readers, are rejected with a message that names the value
+or the file and line."""
 
 import math
 
@@ -65,6 +65,13 @@ def test_read_matrix_csv_counts_blank_lines(tmp_path):
         read_matrix_csv(path)
 
 
+def test_read_matrix_csv_names_a_token_that_is_not_a_number(tmp_path):
+    path = tmp_path / "matrix.csv"
+    path.write_text("1,2\n3,0x1p3\n")
+    with pytest.raises(ValueError, match="matrix.csv:2: not a number: '0x1p3'$"):
+        read_matrix_csv(path)
+
+
 @pytest.mark.parametrize("bad", BAD)
 def test_read_measurements_csv_names_the_file_and_line(tmp_path, bad):
     readings = np.array([0.1, bad, 0.3, 0.4])
@@ -86,8 +93,14 @@ _MEASUREMENT_ROW = "0.39269908169872414,0.39269908169872414"
     ("denoise", f"x,y,reading\n{_MEASUREMENT_ROW},1,5\n", ":2: expected 3 values, got 4"),
     ("forward", "nx,ny,h\n", "missing 'nx,ny,h' header line or its 3 values"),
     ("forward", "nx,ny,h\n9,9\n", "missing 'nx,ny,h' header line or its 3 values"),
+    ("denoise", f"x,y,reading\n{_MEASUREMENT_ROW},\n", ":2: not a number: ''"),
+    ("denoise", f"x,y,reading\n\n{_MEASUREMENT_ROW},abc\n", ":3: not a number: 'abc'"),
+    ("forward", "nx,ny,h\n9.5,9,0.39269908169872414\n",
+     ":2: nx is not an integer: '9.5'"),
+    ("forward", "nx,ny,h\n9,9,wide\n", ":2: h is not a number: 'wide'"),
 ], ids=["header-only-readings", "short-row", "long-row", "header-only-field",
-        "two-value-header"])
+        "two-value-header", "empty-reading", "word-reading", "fractional-nx",
+        "word-spacing"])
 def test_cli_names_a_malformed_csv(tmp_path, capsys, command, text, named):
     path = tmp_path / "malformed.csv"
     path.write_text(text)

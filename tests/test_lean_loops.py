@@ -227,7 +227,15 @@ def _measurements(grid, nodes, seed):
     return add_noise(grid.coords[nodes], _field(grid)[nodes], 0.2, seed=seed)
 
 
+def _held_alpha():
+    """alpha of the factorization the denoise memo holds, or None."""
+    (entry,) = adjpod.inversion._DENOISE_MEMO.values()
+    return None if entry is None else entry[0]
+
+
 def test_denoise_factorizes_once_per_grid_detectors_and_alpha(grid, monkeypatch):
+    # a first call on a layout keeps no LU; from the second call on a
+    # layout, one LU per alpha is kept
     calls = []
     real = adjpod.inversion.splu
     monkeypatch.setattr(adjpod.inversion, "splu",
@@ -237,29 +245,35 @@ def test_denoise_factorizes_once_per_grid_detectors_and_alpha(grid, monkeypatch)
     ms1, ms2 = _measurements(grid, nodes, seed=1), _measurements(grid, nodes, seed=2)
 
     first = denoise(ms1, grid, 1e-6)
-    warm = denoise(ms2, grid, 1e-6)
-    assert len(calls) == 1
-    assert np.array_equal(warm, _reference_denoise(ms2, grid, 1e-6))
+    assert len(calls) == 1 and _held_alpha() is None     # first call: not kept
+    second = denoise(ms2, grid, 1e-6)
+    assert len(calls) == 2 and _held_alpha() == 1e-6     # layout repeats: kept
+    warm = denoise(ms1, grid, 1e-6)
+    assert len(calls) == 2                               # hit
+    assert np.array_equal(second, _reference_denoise(ms2, grid, 1e-6))
+    assert np.array_equal(warm, _reference_denoise(ms1, grid, 1e-6))
     assert np.array_equal(first, _reference_denoise(ms1, grid, 1e-6))
-    assert len(calls) == 3
+    assert len(calls) == 5
 
     denoise(ms1, grid, 1e-6)
-    assert len(calls) == 3                               # hit
+    assert len(calls) == 6                               # layout repeats: kept
+    denoise(ms2, grid, 1e-6)
+    assert len(calls) == 6                               # hit
     denoise(ms1, grid, 2e-6)
-    assert len(calls) == 4                               # alpha changed
+    assert len(calls) == 7 and _held_alpha() == 2e-6     # alpha changed: kept
     assert len(adjpod.inversion._DENOISE_MEMO) == 1
     other = _measurements(grid, grid.interior[::4], seed=1)
     assert np.array_equal(denoise(other, grid, 2e-6),
                           _reference_denoise(other, grid, 2e-6))
-    assert len(calls) == 6                               # detectors changed
+    assert len(calls) == 9 and _held_alpha() is None     # detectors changed
     denoise(ms1, grid, 2e-6)
-    assert len(calls) == 7
+    assert len(calls) == 10 and _held_alpha() is None
     # the same node indices and alpha on a grid with fewer rows
     shorter = build_grid(grid.nx, grid.ny - 2)
     short = _measurements(shorter, nodes, seed=1)
     assert np.array_equal(denoise(short, shorter, 2e-6),
                           _reference_denoise(short, shorter, 2e-6))
-    assert len(calls) == 9                               # grid changed
+    assert len(calls) == 12 and _held_alpha() is None    # grid changed
 
 
 # ------------------------------------------------------------ mode table

@@ -1,5 +1,5 @@
 """Reuse inside one process: the problem memo, the per-(ops, dt)
-factorization table and the truth-stage memo.
+factorization table, the truth-stage memo and the denoise memo.
 
 Correctness of the reuse rests on complete keys, so every input that
 changes a result must miss the memo, and a run on a warm memo must write
@@ -17,6 +17,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import SuperLU
 
 import adjpod.fem
 from adjpod import (CoefficientSet, ExperimentConfig, TimeGrid, assemble_operators,
@@ -206,3 +207,33 @@ def test_one_factorization_per_operators_and_step(monkeypatch):
                                   first.states)
     np.testing.assert_array_equal(solve_forward(fresh, tg, f=zero, g=f).states,
                                   again.states)
+
+
+def _held_denoise_factors() -> int:
+    """How many SuperLU objects the denoise memo holds."""
+    return sum(isinstance(part, SuperLU) for entry in inversion._DENOISE_MEMO.values()
+               if entry is not None for part in entry)
+
+
+def test_the_denoise_memo_keeps_factors_once_a_layout_repeats(tmp_path, monkeypatch):
+    calls = []
+    splu = inversion.splu
+    monkeypatch.setattr(inversion, "splu", lambda a: calls.append(a.shape) or splu(a))
+    monkeypatch.setattr(inversion, "_DENOISE_MEMO", {})
+    # (config, its run's denoise factorizations, SuperLUs held after it)
+    runs = [(BASE, 1, 0),                               # one-shot: nothing held
+            (BASE, 1, 1),                               # the layout repeats: kept
+            (BASE, 0, 1),                               # hit
+            (replace(BASE, seed=4), 0, 1),              # same alpha on a new seed
+            (replace(BASE, alpha="1e-6"), 1, 1),        # new alpha, same layout: kept
+            (replace(BASE, detectors="5x5"), 1, 0),     # new layout: not kept
+            (BASE, 1, 0)]                               # back again: not kept
+    metrics = {}
+    for i, (cfg, factorized, held) in enumerate(runs):
+        before = len(calls)
+        run_experiment(cfg, str(tmp_path / str(i)))
+        assert (len(calls) - before, _held_denoise_factors()) == (factorized, held), i
+        metrics.setdefault(cfg, []).append(_without_timings(tmp_path / str(i)))
+    for same in metrics.values():
+        assert all(m == same[0] for m in same)
+    assert len(metrics[BASE]) == 4

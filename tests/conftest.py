@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,3 +31,14 @@ def desk_grid():
 @pytest.fixture(scope="session")
 def desk_ops(desk_grid):
     return assemble_operators(desk_grid, CoefficientSet(q=1.0, c=0.0))
+
+
+@pytest.fixture(scope="session")
+def artifact_tree():
+    """path -> {relative name: bytes} of every file under it but
+    ``timings.json``, the one file in which two runs of one config differ."""
+    def tree(path) -> dict:
+        root = Path(path)
+        return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+                if p.is_file() and p.name != "timings.json"}
+    return tree

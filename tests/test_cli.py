@@ -130,6 +130,33 @@ def test_invert_reports_failing_stage(tmp_path, capsys):
     assert "FAIL" in stdout and "stage 'truth'" in stdout
 
 
+def test_invert_reads_a_percent_sign_literally(tmp_path):
+    ini = _small_ini(tmp_path)
+    out = tmp_path / "out%1"
+    with open(ini, "a") as fh:
+        fh.write(f"[output]\ndir = {out}\n")
+    assert main(["invert", "--config", ini]) == 0
+    assert (out / "metrics.json").is_file()
+
+
+@pytest.mark.parametrize("text", [
+    "nx = 17\n",
+    "[grid]\nnx = 17\nnx = 19\n",
+    "[grid]\nnx 17\n",
+], ids=["no-section-header", "duplicate-key", "no-equals-sign"])
+def test_invert_names_a_malformed_config(tmp_path, capsys, text):
+    path = tmp_path / "malformed.ini"
+    path.write_text(text)
+    code = main(["invert", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    fails = [line for line in text.splitlines() if "FAIL" in line]
+    assert len(fails) == 1 and str(path) in fails[0]
+    assert "Traceback" not in text
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_theory_small_levels(tmp_path, capsys):
     out = tmp_path / "theory"
     code = main(["verify-theory", "--levels", "2,3", "--nx", "17", "--ny", "17",

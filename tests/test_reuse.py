@@ -22,7 +22,7 @@ from scipy.sparse.linalg import SuperLU
 import adjpod.fem
 from adjpod import (CoefficientSet, ExperimentConfig, TimeGrid, assemble_operators,
                     build_grid, build_problem, make_shape, read_json,
-                    run_experiment, solve_forward)
+                    run_example, run_experiment, solve_forward)
 from adjpod import experiment, inversion, serialize
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -73,44 +73,59 @@ def cold(tmp_path_factory):
     return {name: root / name for name in cases}
 
 
-def _without_timings(path) -> dict:
-    metrics = read_json(path / "metrics.json")
-    metrics.pop("timings")
-    return metrics
+# configs that together reach every stage and artifact kind of a run
+REPEATS = {
+    "noisy_direct": BASE,
+    "gradient_backward": replace(BASE, kind="backward", truth="glyphA", noise=0.0,
+                                 mode="gradient", lam="1e-8", max_iters=200),
+    "foreign_varying_coefficients": replace(BASE, basis="foreign:sin1",
+                                            q="varq", c="varc"),
+}
+
+
+def _timings(path) -> dict:
+    return read_json(path / "timings.json")
+
+
+@pytest.mark.parametrize("case", [*REPEATS, "preset_4.7"])
+def test_two_runs_of_one_config_write_the_same_tree(case, tmp_path, artifact_tree):
+    for side in ("a", "b"):
+        if case in REPEATS:
+            run_experiment(REPEATS[case], str(tmp_path / side))
+        else:
+            run_example("4.7", str(tmp_path / side), BASE)
+    assert artifact_tree(tmp_path / "a") == artifact_tree(tmp_path / "b")
+    timings = list(tmp_path.rglob("timings.json"))
+    assert len(timings) == 2
+    for path in timings:
+        assert set(read_json(path)) == {"full_solve_s", "forward_reused", "reduced_solve_s"}
 
 
 @pytest.mark.parametrize("case", sorted(CHANGES))
-def test_a_changed_input_misses_the_memo(case, cold, tmp_path):
+def test_a_changed_input_misses_the_memo(case, cold, tmp_path, artifact_tree):
     run_experiment(BASE, str(tmp_path / "base"))
-    metrics = run_experiment(replace(BASE, **CHANGES[case]), str(tmp_path / case))
-    assert metrics["timings"]["forward_reused"] is False
-    assert _without_timings(tmp_path / case) == _without_timings(cold[case])
+    run_experiment(replace(BASE, **CHANGES[case]), str(tmp_path / case))
+    assert _timings(tmp_path / case)["forward_reused"] is False
+    assert artifact_tree(tmp_path / case) == artifact_tree(cold[case])
 
 
-def test_a_warm_run_writes_what_a_cold_process_writes(cold, tmp_path):
+def test_a_warm_run_writes_what_a_cold_process_writes(cold, tmp_path, artifact_tree):
     run_experiment(BASE, str(tmp_path / "first"))
-    metrics = run_experiment(BASE, str(tmp_path / "warm"))
-    assert metrics["timings"]["forward_reused"] is True
-    warm, reference = tmp_path / "warm", cold["base"]
-    names = sorted(str(p.relative_to(reference)) for p in reference.rglob("*")
-                   if p.is_file())
-    assert names == sorted(str(p.relative_to(warm)) for p in warm.rglob("*")
-                           if p.is_file())
-    assert "denoised.csv" in names
-    for name in names:
-        if name == "metrics.json":
-            assert _without_timings(warm) == _without_timings(reference)
-        else:
-            assert (warm / name).read_bytes() == (reference / name).read_bytes(), name
+    run_experiment(BASE, str(tmp_path / "warm"))
+    assert _timings(tmp_path / "warm")["forward_reused"] is True
+    reference = artifact_tree(cold["base"])
+    assert "denoised.csv" in reference
+    assert artifact_tree(tmp_path / "warm") == reference
 
 
 def test_a_hit_reports_the_stored_solve_time(tmp_path):
     cfg = replace(BASE, truth="glyphZ", M=5)     # used by no other test
-    first = run_experiment(replace(cfg, seed=7), str(tmp_path / "a"))
-    again = run_experiment(replace(cfg, seed=8, noise=0.5), str(tmp_path / "b"))
-    assert first["timings"]["forward_reused"] is False
-    assert again["timings"]["forward_reused"] is True
-    assert again["timings"]["full_solve_s"] == first["timings"]["full_solve_s"]
+    run_experiment(replace(cfg, seed=7), str(tmp_path / "a"))
+    run_experiment(replace(cfg, seed=8, noise=0.5), str(tmp_path / "b"))
+    first, again = _timings(tmp_path / "a"), _timings(tmp_path / "b")
+    assert first["forward_reused"] is False
+    assert again["forward_reused"] is True
+    assert again["full_solve_s"] == first["full_solve_s"]
 
 
 def test_arrays_held_by_the_truth_memo_are_read_only(tmp_path):
@@ -136,8 +151,8 @@ def test_the_truth_memo_keeps_one_entry(tmp_path):
 def test_the_truth_memo_keys_on_the_resolved_final_time(tmp_path):
     cfg = replace(BASE, truth="glyphA", M=6)     # used by no other test
     run_experiment(replace(cfg, T=None), str(tmp_path / "default"))
-    metrics = run_experiment(replace(cfg, T=1.0), str(tmp_path / "explicit"))
-    assert metrics["timings"]["forward_reused"] is True
+    run_experiment(replace(cfg, T=1.0), str(tmp_path / "explicit"))
+    assert _timings(tmp_path / "explicit")["forward_reused"] is True
 
 
 def test_the_truth_memo_formats_its_fields_and_estimates_smoothness_once(
@@ -215,7 +230,8 @@ def _held_denoise_factors() -> int:
                if entry is not None for part in entry)
 
 
-def test_the_denoise_memo_keeps_factors_once_a_layout_repeats(tmp_path, monkeypatch):
+def test_the_denoise_memo_keeps_factors_once_a_layout_repeats(tmp_path, monkeypatch,
+                                                               artifact_tree):
     calls = []
     splu = inversion.splu
     monkeypatch.setattr(inversion, "splu", lambda a: calls.append(a.shape) or splu(a))
@@ -228,12 +244,12 @@ def test_the_denoise_memo_keeps_factors_once_a_layout_repeats(tmp_path, monkeypa
             (replace(BASE, alpha="1e-6"), 1, 1),        # new alpha, same layout: kept
             (replace(BASE, detectors="5x5"), 1, 0),     # new layout: not kept
             (BASE, 1, 0)]                               # back again: not kept
-    metrics = {}
+    trees = {}
     for i, (cfg, factorized, held) in enumerate(runs):
         before = len(calls)
         run_experiment(cfg, str(tmp_path / str(i)))
         assert (len(calls) - before, _held_denoise_factors()) == (factorized, held), i
-        metrics.setdefault(cfg, []).append(_without_timings(tmp_path / str(i)))
-    for same in metrics.values():
-        assert all(m == same[0] for m in same)
-    assert len(metrics[BASE]) == 4
+        trees.setdefault(cfg, []).append(artifact_tree(tmp_path / str(i)))
+    for same in trees.values():
+        assert all(tree == same[0] for tree in same)
+    assert len(trees[BASE]) == 4

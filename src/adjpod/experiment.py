@@ -252,8 +252,9 @@ def load_config(path: Optional[str] = None,
     """Config from an INI-style file plus ``section.key=value`` overrides.
 
     Unknown sections or keys fail fast rather than being ignored, and a
-    file that is no valid INI fails with a ValueError naming it.  Values
-    are taken literally: ``%`` has no interpolation meaning.
+    file that is no valid INI or sets a key under ``[DEFAULT]`` fails with a
+    ValueError naming it.  Values are taken literally: ``%`` has no
+    interpolation meaning.
     """
     entries = []    # (section, key, raw value); overrides come last and win
     if path is not None:
@@ -263,6 +264,11 @@ def load_config(path: Optional[str] = None,
                 parser.read_file(fh)
             except configparser.Error as exc:
                 raise ValueError(f"{path}: {' '.join(str(exc).split())}") from exc
+        # configparser folds [DEFAULT] into every section, where its keys
+        # would apply or fail under a section they were never written in
+        if parser.defaults():
+            key = next(iter(parser.defaults()))
+            raise ValueError(f"{path}: unknown config key [DEFAULT] {key}")
         entries = [(section, key, raw) for section in parser.sections()
                    for key, raw in parser.items(section)]
     for item in overrides:

@@ -8,7 +8,12 @@ POD coordinates, either by gradient descent on
 
 or in closed form.  Both work in the eigenbasis S = Q diag(w) Q^T of the
 reduced solution operator, where the minimizer is the spectral filter
-f = Q (w / (w^2 + lambda)) Q^T m and each descent step is diagonal.
+f = Q (w / (w^2 + lambda)) Q^T m and each descent step is diagonal: every
+eigen-coordinate follows its own scalar recurrence, which the descent runs
+in Python floats until the coordinate reaches an exact fixed point.  The
+stop test is screened once per chunk of iterations and applied exactly
+near the tolerance, so the result is bit for bit that of the loop stepping
+the whole vector and testing after every step.
 """
 
 from __future__ import annotations
@@ -253,10 +258,20 @@ def tikhonov_gradient_descent_reduced(model: ReducedModel, m_r: np.ndarray,
     """Gradient iteration in reduced coordinates; returns (f_r, J history).
 
     The iteration starts from f = 0 and runs on the eigen-coordinates
-    z = Q^T f, where the step f <- f - beta grad J is diagonal; the gradient
-    norm, J and hence the stopping rule are the same as in the original
-    coordinates.  The loop only steps; J is evaluated on the recorded
-    iterates once it ends.
+    z = Q^T f, where the step f <- f - beta grad J is diagonal: coordinate i
+    follows its own scalar recurrence z <- z - beta (c_i z - b_i), with
+    c = w^2 + lam and b = w Q^T m.  The gradient norm, J and hence the
+    stopping rule are the same as in the original coordinates.
+
+    Each coordinate advances alone through a chunk of iterations in Python
+    floats, which round every product and difference as float64 arrays do;
+    once it reaches an exact fixed point of the rounded map the rest of its
+    chunk repeats that value.  The stop test ||grad|| <= tol runs once per
+    chunk, exactly (as ``np.linalg.norm``) on every iterate whose screened
+    norm is near tol, and the first hit ends the descent.  f, the history
+    and the iteration count are therefore bit for bit those of the loop that
+    steps the whole vector and tests the norm after every step.  J is
+    evaluated on the recorded iterates once the descent ends.
     """
     w, Q = model.spectrum
     bound = descent_step_bound(model, cfg.lam)
@@ -267,26 +282,80 @@ def tikhonov_gradient_descent_reduced(model: ReducedModel, m_r: np.ndarray,
 
     m_r = _finite(m_r, "measurement coefficients m_r")
 
-    z = np.zeros(model.n_pod)
     n = Q.T @ m_r
     curvature = w * w + cfg.lam
     wn = w * n
-    grad = curvature * z - wn
+    # the gradient at z = 0 is -wn
     tol = cfg.grad_tol if cfg.grad_tol is not None \
-        else 1e-10 * (float(np.linalg.norm(grad)) + 1.0)
-    iterates = [z]
-    for _ in range(cfg.max_iters):
-        if math.sqrt(grad.dot(grad)) <= tol:     # np.linalg.norm(grad), bit for bit
+        else 1e-10 * (float(np.linalg.norm(wn)) + 1.0)
+    steppers = list(zip(curvature.tolist(), wn.tolist()))
+    beta = float(beta)
+    blocks = []           # the iterates so far, one (rows, n_pod) block per chunk
+    z = [0.0] * model.n_pod
+    taken, chunk = 0, _FIRST_CHUNK
+    while True:
+        steps = min(chunk, cfg.max_iters - taken)
+        # rows 0..steps: the current iterate and the next `steps`
+        block = np.array([_orbit(z_i, c_i, b_i, beta, steps)
+                          for z_i, (c_i, b_i) in zip(z, steppers)]).T
+        hit = _first_converged(curvature * block[:steps] - wn, tol)
+        if hit is not None:
+            blocks.append(block[:hit + 1])
             break
-        z = z - beta * grad
-        iterates.append(z)
-        grad = curvature * z - wn
+        taken += steps
+        if taken == cfg.max_iters:
+            blocks.append(block)
+            break
+        blocks.append(block[:steps])
+        z = block[steps].tolist()
+        chunk = min(2 * chunk, _LAST_CHUNK)
     # J is invariant under the orthogonal Q, so the history is evaluated
-    # once, on all iterates together, in the eigen-coordinates
-    Z = np.array(iterates)
+    # once, on all iterates together, in the eigen-coordinates; the stack is
+    # C-ordered and the last iterate a vector of its own, as the row sums
+    # and the product with Q then take the loop's bits
+    Z = np.ascontiguousarray(np.concatenate(blocks))
     r = w * Z - n
     history = 0.5 * (np.sum(r * r, axis=1) + cfg.lam * np.sum(Z * Z, axis=1))
-    return Q @ z, history
+    return Q @ Z[-1].copy(), history
+
+
+# chunk lengths of the descent double from the first to the last: memory
+# follows the iterations taken, and each chunk costs a few numpy calls
+_FIRST_CHUNK = 32
+_LAST_CHUNK = 4096
+
+
+def _orbit(z: float, c: float, b: float, beta: float, steps: int) -> list:
+    """z and its next `steps` iterates under z <- z - beta (c z - b)."""
+    out = [z]
+    for _ in range(steps):
+        z_next = z - beta * (c * z - b)
+        if z_next == z:
+            # a fixed point of the rounded map returns itself from now on;
+            # == cannot confuse 0.0 with -0.0 here: z starts at 0.0, and
+            # z - t is -0.0 only for z = -0.0 and t = 0.0
+            out += [z] * (steps + 1 - len(out))
+            break
+        z = z_next
+        out.append(z)
+    return out
+
+
+def _first_converged(grads: np.ndarray, tol: float) -> Optional[int]:
+    """First row g of `grads` with sqrt(g . g) <= tol, computed as the loop
+    did, or None.
+
+    An einsum screens the rows.  It sums the same n squares as the dot
+    product in another order, within a relative n 2^-53 of it (1e-150
+    absolute covers squares below the normal range), so a row it puts above
+    tol (1 + 1e-12) fails the loop's test.  The other rows get that test in
+    order, each on a contiguous copy as the loop's vector was."""
+    screened = np.sqrt(np.einsum("ij,ij->i", grads, grads))
+    for k in np.flatnonzero(screened <= tol * (1.0 + 1e-12) + 1e-150).tolist():
+        g = grads[k].copy()
+        if math.sqrt(g.dot(g)) <= tol:     # np.linalg.norm(g), bit for bit
+            return k
+    return None
 
 
 def tikhonov_direct_reduced(model: ReducedModel, m_r: np.ndarray,

@@ -9,10 +9,10 @@ artifacts written before the failure are kept.
 Work that does not depend on the measurement noise is done once per
 process: ``build_problem`` keeps the last few problems (grid, operators,
 time grid), ``fem`` keeps the time-step factorizations of the last few
-(operators, dt) pairs, and the truth stage (truth field, its final state
-and solve time, the inverse-crime basis, and once a run has asked for
-them the two fields' CSV texts and the final state's smoothness estimate)
-is kept for the most recent arguments.  Each key holds every input of its
+(operators, dt) pairs, and the truth stage (truth field, its final state,
+the inverse-crime basis, and once a run has asked for them the two
+fields' CSV texts and the final state's smoothness estimate) is kept for
+the most recent arguments.  Each key holds every input of its
 result.  Both POD bases come from ``reduced``: the truth stage passes the
 truth's ``snapshot_set`` to ``build_traditional_pod``, and the basis stage
 calls ``build_adjoint_pod`` on the measured (or a foreign) field.
@@ -64,15 +64,19 @@ class StageError(RuntimeError):
 
 
 @contextlib.contextmanager
-def _stage(name: str):
+def _stage(name: str, clock: Optional[dict] = None):
     """Tag a failure inside the block with stage ``name``; a failure that
-    already carries its stage passes through."""
+    already carries its stage passes through.  When the block succeeds,
+    its wall time in seconds goes to ``clock[name]`` if a clock is given."""
+    start = time.perf_counter()
     try:
         yield
     except StageError:
         raise
     except Exception as exc:
         raise StageError(name, exc) from exc
+    if clock is not None:
+        clock[name] = time.perf_counter() - start
 
 
 def _parsed(parse, raw, failed=None):
@@ -275,7 +279,8 @@ def load_config(path: Optional[str] = None,
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ValueError(f"override {item!r} must look like section.key=value")
         spot, raw = item.split("=", 1)
-        entries.append((*spot.split(".", 1), raw))
+        # stripped as configparser strips the keys and values of an INI line
+        entries.append((*(part.strip() for part in spot.split(".", 1)), raw.strip()))
     updates = {}
     for section, key, raw in entries:
         spot = (section.lower(), key.lower())
@@ -400,8 +405,7 @@ def _pod_size(n_pod: int, energy: Optional[float]) -> dict:
 class TruthStage:
     """What a run derives from the truth alone, the same for every noise
     level, seed, detector layout and inversion setting: the truth field,
-    its final state, the wall time of the forward solve and the
-    inverse-crime basis.
+    its final state and the inverse-crime basis.
 
     The CSV texts of the two fields and the smoothness estimate of the
     final state are derived on first use and then kept with the entry, so
@@ -410,7 +414,6 @@ class TruthStage:
 
     field: np.ndarray
     final: np.ndarray
-    solve_s: float
     traditional: PodBasis
 
     @functools.cached_property
@@ -436,19 +439,17 @@ def _truth_stage(problem: tuple, truth: str, max_snapshots: int, n_pod: int,
     """The ``TruthStage`` of the named truth on ``problem`` (the
     ``build_problem`` tuple).
 
-    Kept for the most recent arguments; its arrays are read-only, and a hit
-    returns the solve time measured when the entry was built.  The forward
-    solve is the truth's ``snapshot_set``, and of its snapshot matrix only
-    a copy of the final state outlives this call.  Failures are tagged with
-    the stage that raised.
+    Kept for the most recent arguments; its arrays are read-only.  The
+    forward solve is the truth's ``snapshot_set``, and of its snapshot
+    matrix only a copy of the final state outlives this call.  Failures are
+    tagged with the stage that raised; the time of a miss falls in the
+    run's ``setup``.
     """
     kind, grid, ops, tg = problem
     with _stage("truth"):
         field = make_shape(truth, grid)
     with _stage("forward"):
-        t0 = time.perf_counter()
         snapshots = snapshot_set(kind, field, ops, tg, max_snapshots)
-        solve_s = time.perf_counter() - t0
         if ops.norm(snapshots.states[-1]) == 0.0:
             raise ValueError("the truth's final state underflows to zero: "
                              "coefficients.c, coefficients.q or time.t decay it too far")
@@ -456,16 +457,17 @@ def _truth_stage(problem: tuple, truth: str, max_snapshots: int, n_pod: int,
         traditional = build_traditional_pod(kind, snapshots, **_pod_size(n_pod, energy))
     final = snapshots.states[-1].copy()
     _read_only(field, final, traditional.psi, traditional.eigenvalues)
-    return TruthStage(field, final, solve_s, traditional)
+    return TruthStage(field, final, traditional)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     """Run the full pipeline; returns the metrics record it also writes to
-    ``metrics.json``, a function of ``cfg`` alone.  The run's wall times
-    go to ``timings.json`` beside it."""
+    ``metrics.json``, a function of ``cfg`` alone.  The wall time of each
+    stage goes to ``timings.json`` beside it."""
     out = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    with _stage("setup"):
+    stage_s = {}
+    with _stage("setup", stage_s):
         problem = build_problem(cfg.kind, cfg.nx, cfg.ny, cfg.T, cfg.M, cfg.q, cfg.c)
         hits = _truth_stage.cache_info().hits
         truth_stage = _truth_stage(problem, cfg.truth, cfg.max_snapshots, cfg.n_pod,
@@ -475,13 +477,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
     truth, u_final = truth_stage.field, truth_stage.final
     traditional = truth_stage.traditional
 
-    with _stage("truth"):
+    with _stage("truth", stage_s):
         serialize.write_text(os.path.join(out, "truth.csv"), truth_stage.field_csv)
 
-    with _stage("forward"):
+    with _stage("forward", stage_s):
         serialize.write_text(os.path.join(out, "final_state.csv"), truth_stage.final_csv)
 
-    with _stage("measure"):
+    with _stage("measure", stage_s):
         det_idx = detector_nodes(grid, cfg.detectors)
         iy, ix = np.divmod(det_idx, grid.nx)
         det_pts = grid.coords[det_idx]
@@ -498,7 +500,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
             "noise_convention": "sigma = p * max|clean readings|",
         })
 
-    with _stage("denoise"):
+    with _stage("denoise", stage_s):
         denoise_info = {"skipped": cfg.noise == 0.0}
         if cfg.noise == 0.0:
             m_field = u_final
@@ -518,7 +520,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
             serialize.write_field_csv(os.path.join(out, "denoised.csv"), grid, m_field)
         denoise_info["alpha"] = alpha_used
 
-    with _stage("basis"):
+    with _stage("basis", stage_s):
         selector = _pod_size(cfg.n_pod, cfg.energy)
         if cfg.basis == "adjoint":
             basis = build_adjoint_pod(kind, m_field, ops, tg,
@@ -535,14 +537,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
         serialize.write_pod_basis(os.path.join(out, "basis"), basis)
         angles = principal_angles(basis, traditional)
 
-    with _stage("reduce"):
+    with _stage("reduce", stage_s):
         model = build_reduced_model(ops, basis, tg, kind)
-        t0 = time.perf_counter()
         reduced_final, _ = reduced_solve(model, truth)
-        reduced_solve_s = time.perf_counter() - t0
         serialize.write_reduced_model(os.path.join(out, "reduced_model"), model)
 
-    with _stage("invert"):
+    with _stage("invert", stage_s):
         if cfg.lam == "auto":
             lam = auto_lambda(ms, model)
         else:
@@ -560,7 +560,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
         recovered = basis.expand(f_r)
         serialize.write_field_csv(os.path.join(out, "recovered.csv"), grid, recovered)
 
-    with _stage("metrics"):
+    with _stage("metrics", stage_s):
         metrics = {
             "config": cfg.to_dict(),
             "kind": kind.value,
@@ -589,11 +589,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
             },
         }
         serialize.write_json(os.path.join(out, "metrics.json"), metrics)
-        serialize.write_json(os.path.join(out, "timings.json"), {
-            "full_solve_s": truth_stage.solve_s,
-            "forward_reused": forward_reused,
-            "reduced_solve_s": reduced_solve_s,
-        })
+    serialize.write_json(os.path.join(out, "timings.json"),
+                         {"forward_reused": forward_reused, "stage_s": stage_s})
     return metrics
 
 

@@ -80,12 +80,15 @@ def read_field_csv(path) -> Tuple[Grid2D, np.ndarray]:
     nx = _number(path, no, nx_s, int, "nx is not an integer")
     ny = _number(path, no, ny_s, int, "ny is not an integer")
     h = _number(path, no, h_s, float, "h is not a number")
-    grid = build_grid(nx, ny)
-    if not np.isclose(h, grid.h, rtol=1e-12):
-        raise ValueError(f"{path}: header spacing {h} inconsistent with nx={nx}")
+    # checked against the table first, so a corrupt header cannot size a grid
+    if nx < 3 or ny < 3:
+        raise ValueError(f"{path}: need nx, ny >= 3, got ({nx}, {ny})")
     rows = [_parse_row(path, no, ln) for no, ln in lines[2:]]
     if len(rows) != ny or any(r.size != nx for r in rows):
         raise ValueError(f"{path}: expected {ny} rows of {nx} values")
+    grid = build_grid(nx, ny)
+    if not np.isclose(h, grid.h, rtol=1e-12):
+        raise ValueError(f"{path}: header spacing {h} inconsistent with nx={nx}")
     return grid, np.concatenate(rows)
 
 

@@ -9,6 +9,8 @@ from adjpod import (ExperimentConfig, StageError, build_grid, detector_nodes,
                     run_experiment)
 
 _FAST = dict(nx=17, ny=17, M=10, n_pod=4, detectors="10x10")
+STAGES = ("setup", "truth", "forward", "measure", "denoise", "basis", "reduce",
+          "invert", "metrics")
 
 
 def _fast_config(**overrides):
@@ -99,6 +101,15 @@ def test_load_config_from_ini_with_overrides(tmp_path):
     assert cfg2.energy == 1e-10
 
 
+def test_overrides_strip_whitespace_as_ini_lines_do(tmp_path):
+    path = tmp_path / "spaced.ini"
+    path.write_text("[grid]\nnx = 9\n[problem]\ntruth= sin1\n")
+    from_file = load_config(str(path))
+    assert (from_file.nx, from_file.truth) == (9, "sin1")
+    assert load_config(None, overrides=("grid.nx = 9", "problem.truth= sin1")) == from_file
+    assert load_config(None, overrides=(" grid . nx\t=9 ",)).nx == 9
+
+
 def test_load_config_rejects_unknown_and_malformed_entries(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[solver]\ntol = 1\n")
@@ -132,7 +143,12 @@ def test_run_experiment_writes_artifacts_and_metrics(tmp_path):
     assert np.isfinite(metrics["recovery"]["rel_hminus1_surrogate_error"])
     assert metrics["reduced_vs_full"]["rel_l2_final_state_gap"] < 1.0
     assert metrics["basis"]["n_pod"] == 4
-    assert read_json(out / "timings.json")["full_solve_s"] > 0
+    timings = read_json(out / "timings.json")
+    assert set(timings) == {"forward_reused", "stage_s"}
+    assert isinstance(timings["forward_reused"], bool)
+    assert set(timings["stage_s"]) == set(STAGES)
+    for seconds in timings["stage_s"].values():
+        assert type(seconds) is float and np.isfinite(seconds) and seconds >= 0.0
     disk = read_json(out / "metrics.json")
     assert disk["recovery"]["rel_l2_error"] == pytest.approx(
         metrics["recovery"]["rel_l2_error"])

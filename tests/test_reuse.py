@@ -98,7 +98,7 @@ def test_two_runs_of_one_config_write_the_same_tree(case, tmp_path, artifact_tre
     timings = list(tmp_path.rglob("timings.json"))
     assert len(timings) == 2
     for path in timings:
-        assert set(read_json(path)) == {"full_solve_s", "forward_reused", "reduced_solve_s"}
+        assert set(read_json(path)) == {"forward_reused", "stage_s"}
 
 
 @pytest.mark.parametrize("case", sorted(CHANGES))
@@ -116,16 +116,6 @@ def test_a_warm_run_writes_what_a_cold_process_writes(cold, tmp_path, artifact_t
     reference = artifact_tree(cold["base"])
     assert "denoised.csv" in reference
     assert artifact_tree(tmp_path / "warm") == reference
-
-
-def test_a_hit_reports_the_stored_solve_time(tmp_path):
-    cfg = replace(BASE, truth="glyphZ", M=5)     # used by no other test
-    run_experiment(replace(cfg, seed=7), str(tmp_path / "a"))
-    run_experiment(replace(cfg, seed=8, noise=0.5), str(tmp_path / "b"))
-    first, again = _timings(tmp_path / "a"), _timings(tmp_path / "b")
-    assert first["forward_reused"] is False
-    assert again["forward_reused"] is True
-    assert again["full_solve_s"] == first["full_solve_s"]
 
 
 def test_arrays_held_by_the_truth_memo_are_read_only(tmp_path):

@@ -12,6 +12,7 @@ from adjpod import (CoefficientSet, TimeGrid, add_noise, assemble_operators,
                     read_measurements_csv, write_field_csv, write_json,
                     write_matrix_csv, write_measurements_csv, write_pod_basis,
                     write_reduced_model)
+from adjpod import serialize
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,21 @@ def test_field_header_validation(tmp_path):
     text = path.read_text().splitlines()
     path.write_text("\n".join(text[:-1]) + "\n")
     with pytest.raises(ValueError, match="rows"):
+        read_field_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("nx,ny,h\n100000000,100000000,3e-8\n0,0,0\n", "expected 100000000 rows"),
+    ("nx,ny,h\n2,3,3.14\n0,0\n0,0\n0,0\n", r"need nx, ny >= 3, got \(2, 3\)"),
+])
+def test_field_header_is_checked_before_a_grid_is_built(tmp_path, monkeypatch, text, message):
+    def no_grid(nx, ny):
+        raise AssertionError(f"build_grid({nx}, {ny}) called")
+
+    monkeypatch.setattr(serialize, "build_grid", no_grid)
+    path = tmp_path / "header.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"header.csv: {message}"):
         read_field_csv(path)
 
 

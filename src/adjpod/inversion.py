@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .fem import DiscreteOperators
+from .fem import DiscreteOperators, _column_ordering
 from .grid import Grid2D
 from .reduced import ReducedModel
 from .reduced import spod_matrix  # noqa: F401 - traced by perfbench/spans.py
@@ -154,7 +154,7 @@ def _denoise_factors(grid: Grid2D, nodes: np.ndarray, alpha: float):
     idx = grid.interior
     _DENOISE_MEMO.clear()       # a rejected alpha keeps the held LU
     try:
-        lu = splu(H[np.ix_(idx, idx)].tocsc())
+        lu = splu(H[np.ix_(idx, idx)].tocsc(), permc_spec=_column_ordering(idx.size))
     except RuntimeError as exc:     # a penalty that underflows leaves it singular
         raise ValueError(f"denoise system with alpha={alpha} is singular ({exc})") from None
     _DENOISE_MEMO[layout] = (alpha, P, lu) if repeats else None

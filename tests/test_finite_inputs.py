@@ -259,7 +259,8 @@ def test_denoise_rejects_an_alpha_whose_normal_matrix_overflows(grid, noisy):
 def test_a_rejected_alpha_keeps_the_held_denoise_factorization(grid, noisy, monkeypatch):
     calls = []
     real = adjpod.inversion.splu
-    monkeypatch.setattr(adjpod.inversion, "splu", lambda a: calls.append(a.shape) or real(a))
+    monkeypatch.setattr(adjpod.inversion, "splu",
+                        lambda a, *args, **kw: calls.append(a.shape) or real(a, *args, **kw))
     monkeypatch.setattr(adjpod.inversion, "_DENOISE_MEMO", {})
     first = denoise(noisy, grid, 1e-6)
     assert np.array_equal(denoise(noisy, grid, 1e-6), first)   # the layout repeats

@@ -239,7 +239,7 @@ def test_denoise_factorizes_once_per_grid_detectors_and_alpha(grid, monkeypatch)
     calls = []
     real = adjpod.inversion.splu
     monkeypatch.setattr(adjpod.inversion, "splu",
-                        lambda a: calls.append(a.shape) or real(a))
+                        lambda a, *args, **kw: calls.append(a.shape) or real(a, *args, **kw))
     adjpod.inversion._DENOISE_MEMO.clear()
     nodes = grid.interior[:40:3]            # the first interior rows
     ms1, ms2 = _measurements(grid, nodes, seed=1), _measurements(grid, nodes, seed=2)

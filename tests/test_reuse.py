@@ -188,7 +188,8 @@ def test_equal_problems_share_one_setup():
 def test_one_factorization_per_operators_and_step(monkeypatch):
     calls = []
     real = adjpod.fem.splu
-    monkeypatch.setattr(adjpod.fem, "splu", lambda a: calls.append(a.shape) or real(a))
+    monkeypatch.setattr(adjpod.fem, "splu",
+                        lambda a, *args, **kw: calls.append(a.shape) or real(a, *args, **kw))
     grid = build_grid(9, 9)
     ops = assemble_operators(grid, CoefficientSet(q=1.0, c=0.0))
     f = make_shape("sin1", grid)
@@ -224,7 +225,8 @@ def test_the_denoise_memo_keeps_factors_once_a_layout_repeats(tmp_path, monkeypa
                                                                artifact_tree):
     calls = []
     splu = inversion.splu
-    monkeypatch.setattr(inversion, "splu", lambda a: calls.append(a.shape) or splu(a))
+    monkeypatch.setattr(inversion, "splu",
+                        lambda a, *args, **kw: calls.append(a.shape) or splu(a, *args, **kw))
     monkeypatch.setattr(inversion, "_DENOISE_MEMO", {})
     # (config, its run's denoise factorizations, SuperLUs held after it)
     runs = [(BASE, 1, 0),                               # one-shot: nothing held

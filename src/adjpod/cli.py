@@ -266,6 +266,14 @@ def _sweep_one(job) -> tuple:
         return (path, False, float("nan"), f"{type(exc).__name__}: {exc}")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one (``taskset`` narrows it), else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
@@ -374,8 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                    help="override applied to every config (repeatable)")
     p.add_argument("--out", default="sweep_out")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes, at most one per config")
+    p.add_argument("--jobs", type=int, default=_usable_cpus(),
+                   help="worker processes, at most one per config "
+                        "(default: the CPUs this process may use)")
     p.set_defaults(handler=_cmd_sweep)
 
     return parser

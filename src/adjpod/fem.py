@@ -35,6 +35,11 @@ _PHI_MID = np.array([[0.5, 0.5, 0.0],
 
 _BOUNDARY_TOL = 1e-9
 
+# Largest system, in interior unknowns (a 51 x 51 grid), whose results stay
+# pinned bit for bit: up to it the time-step and denoise factors are ordered
+# by COLAMD and the POD correlation matrix is one GEMM (pod.correlation_matrix).
+PINNED_UNKNOWNS = 2401
+
 CoefficientFn = Union[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 
@@ -209,10 +214,10 @@ def conform_dirichlet(grid: Grid2D, values: np.ndarray, what: str = "field") -> 
 
 def _column_ordering(unknowns: int) -> str:
     """SuperLU ``permc_spec`` for a symmetric positive-definite system with
-    ``unknowns`` interior unknowns: COLAMD up to 2,401 (51 x 51 and every
-    smaller grid), where its solves are the faster ones, and minimum degree
-    on A + A^T above, where its sparser factors solve faster."""
-    return "COLAMD" if unknowns <= 2401 else "MMD_AT_PLUS_A"
+    ``unknowns`` interior unknowns: COLAMD up to ``PINNED_UNKNOWNS`` (51 x 51
+    and every smaller grid), where its solves are the faster ones, and
+    minimum degree on A + A^T above, where its sparser factors solve faster."""
+    return "COLAMD" if unknowns <= PINNED_UNKNOWNS else "MMD_AT_PLUS_A"
 
 
 @functools.lru_cache(maxsize=4)

@@ -9,7 +9,10 @@ Only the states at ``snapshot_steps(M, max_snapshots)`` enter, so a solve
 can store just those, straight into the first rows of the snapshot matrix
 (``reduced.snapshot_set`` does), and the mass products are formed a block
 of snapshot rows at a time: the memory of the snapshot path grows with
-``max_snapshots * n_nodes``, not with M.
+``max_snapshots * n_nodes``, not with M.  Up to ``fem.PINNED_UNKNOWNS``
+interior unknowns K is one GEMM against the whole mass product, which
+keeps its bits; above, K is filled a block of columns at a time, so the
+only snapshot-sized array is the snapshot matrix itself.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .fem import DiscreteOperators, Trajectory, out_array
+from .fem import PINNED_UNKNOWNS, DiscreteOperators, Trajectory, out_array
 
 RANK_CUTOFF = 1e-12  # discard correlation eigenvalues below RANK_CUTOFF * lambda_1
 _MASS_BLOCK_ROWS = 32  # snapshot rows per sparse mass product
@@ -158,10 +161,20 @@ def _mass_product(mass, Y: np.ndarray) -> np.ndarray:
 def correlation_matrix(snapshots, ops: Optional[DiscreteOperators] = None) -> np.ndarray:
     """Dense symmetric K with K_ij = (y_i, y_j) in the mass inner product.
 
-    K = Y (M Y^T) stays a single GEMM: splitting it into blocks changes
-    the rounding of its entries."""
+    Up to ``PINNED_UNKNOWNS`` interior unknowns K = Y (M Y^T) is a single
+    GEMM, because splitting it into blocks changes the rounding of its
+    entries.  Above, K is filled ``_MASS_BLOCK_ROWS`` columns at a time,
+    K[:, a:b] = Y (M Y[a:b]^T), so the (n_nodes, count) mass product is
+    never built; K then agrees with the single GEMM to roundoff."""
     Y = _as_matrix(snapshots)
-    K = Y @ _mass_product(_ops_of(snapshots, ops).mass, Y)
+    the_ops = _ops_of(snapshots, ops)
+    if the_ops.interior.size <= PINNED_UNKNOWNS:
+        K = Y @ _mass_product(the_ops.mass, Y)
+    else:
+        K = np.empty((Y.shape[0], Y.shape[0]))
+        for start in range(0, Y.shape[0], _MASS_BLOCK_ROWS):
+            stop = start + _MASS_BLOCK_ROWS
+            K[:, start:stop] = Y @ (the_ops.mass @ Y[start:stop].T)
     return 0.5 * (K + K.T)
 
 

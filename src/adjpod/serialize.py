@@ -99,7 +99,12 @@ def write_matrix_csv(path, matrix: np.ndarray) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    return np.vstack([_parse_row(path, no, ln) for no, ln in _content_lines(path)])
+    """The rows of a matrix CSV; every row must be as wide as the first."""
+    lines = _content_lines(path)
+    if not lines:
+        raise ValueError(f"{path}: no rows")
+    first = _parse_row(path, *lines[0])
+    return np.vstack([first] + [_parse_row(path, no, ln, first.size) for no, ln in lines[1:]])
 
 
 def _json_leaf(obj):
@@ -116,7 +121,10 @@ def write_json(path, payload: dict) -> None:
 
 def read_json(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
 def write_pod_basis(dirpath, basis: PodBasis) -> None:

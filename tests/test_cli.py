@@ -5,7 +5,7 @@ import pytest
 
 from adjpod import add_noise, build_grid, make_shape, read_json
 from adjpod import serialize
-from adjpod.cli import main
+from adjpod.cli import build_parser, main
 
 _SMALL = ["--nx", "17", "--ny", "17", "--M", "10"]
 
@@ -303,3 +303,20 @@ def test_cli_rejects_missing_subcommand_and_bad_label():
         main([])
     with pytest.raises(SystemExit):
         main(["run-example", "9.9"])
+
+
+def _default_jobs():
+    return build_parser().parse_args(["sweep", "run.ini"]).jobs
+
+
+def test_sweep_jobs_default_to_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert _default_jobs() == 1
+
+
+@pytest.mark.parametrize("count,jobs", [(3, 3), (None, 1)])
+def test_sweep_jobs_default_to_the_cpu_count_without_affinity(monkeypatch, count, jobs):
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: count)
+    assert _default_jobs() == jobs

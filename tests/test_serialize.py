@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -155,3 +156,25 @@ def test_reduced_model_directory_layout(tmp_path, grid):
     np.testing.assert_array_equal(a_r, model.a_r)
     S = read_matrix_csv(out / "solution_operator.csv")
     assert S.shape == (3, 3)
+
+
+def test_an_empty_matrix_csv_fails_naming_the_file(tmp_path):
+    path = tmp_path / "mat.csv"
+    path.write_text("\n  \n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no rows$"):
+        read_matrix_csv(path)
+
+
+def test_a_ragged_matrix_row_fails_naming_the_file_and_line(tmp_path):
+    path = tmp_path / "mat.csv"
+    path.write_text("1,2,3\n4,5,6\n\n7,8\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: expected 3 values, got 2$"):
+        read_matrix_csv(path)
+
+
+def test_malformed_json_fails_naming_the_file(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text('{"n_pod": 9,')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not valid JSON: ") as info:
+        read_json(path)
+    assert not isinstance(info.value, json.JSONDecodeError)

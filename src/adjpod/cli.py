@@ -110,7 +110,7 @@ def _cmd_adjoint_pod(args) -> int:
     basis = build_adjoint_pod(kind, data, ops, tg, max_snapshots=args.max_snapshots,
                               **_pod_size(args.n_pod, args.energy))
     os.makedirs(args.out, exist_ok=True)
-    serialize.write_pod_basis(os.path.join(args.out, "basis"), basis)
+    serialize.write_pod_basis(args.out, basis)
     serialize.write_json(os.path.join(args.out, "adjoint_pod.json"), {
         "kind": kind.value, "n_pod": basis.n_pod,
         "retained_rank": basis.retained_rank, "rho": basis.rho,

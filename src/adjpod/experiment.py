@@ -12,10 +12,12 @@ time grid), ``fem`` keeps the time-step factorizations of the last few
 (operators, dt) pairs, and the truth stage (truth field, its final state,
 the inverse-crime basis, and once a run has asked for them the two
 fields' CSV texts and the final state's smoothness estimate) is kept for
-the most recent arguments.  Each key holds every input of its
-result.  Both POD bases come from ``reduced``: the truth stage passes the
-truth's ``snapshot_set`` to ``build_traditional_pod``, and the basis stage
-calls ``build_adjoint_pod`` on the measured (or a foreign) field.
+the most recent arguments, and so is the detector layout (its nodes,
+quasi-uniformity and ``measurements.csv`` template).  Each key holds every
+input of its result.  Both POD bases come from ``reduced``: the truth
+stage passes the truth's ``snapshot_set`` to ``build_traditional_pod``, and
+the basis stage calls ``build_adjoint_pod`` on the measured (or a foreign)
+field.
 """
 
 from __future__ import annotations
@@ -460,6 +462,21 @@ def _truth_stage(problem: tuple, truth: str, max_snapshots: int, n_pod: int,
     return TruthStage(field, final, traditional)
 
 
+@functools.lru_cache(maxsize=1)
+def _detector_layout(grid: Grid2D, spec: str) -> tuple:
+    """(nodes, points, quasi-uniformity, measurements CSV template) of the
+    detector layout ``spec`` on ``grid``, a ``build_problem`` grid: what a
+    run derives from the layout alone.  Kept for the most recent arguments;
+    its arrays are read-only."""
+    nodes = detector_nodes(grid, spec)
+    iy, ix = np.divmod(nodes, grid.nx)
+    points = grid.coords[nodes]
+    _read_only(nodes, points)
+    return (nodes, points,
+            _quasi_uniformity(grid.xs[np.unique(ix)], grid.ys[np.unique(iy)]),
+            serialize.measurements_template(points))
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     """Run the full pipeline; returns the metrics record it also writes to
     ``metrics.json``, a function of ``cfg`` alone.  The wall time of each
@@ -484,21 +501,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
         serialize.write_text(os.path.join(out, "final_state.csv"), truth_stage.final_csv)
 
     with _stage("measure", stage_s):
-        det_idx = detector_nodes(grid, cfg.detectors)
-        iy, ix = np.divmod(det_idx, grid.nx)
-        det_pts = grid.coords[det_idx]
-        clean = u_final[det_idx]
-        ms = inversion.add_noise(det_pts, clean, cfg.noise, cfg.seed)
-        serialize.write_measurements_csv(os.path.join(out, "measurements.csv"), ms)
-        serialize.write_json(os.path.join(out, "measurements.json"), {
+        det_idx, det_pts, quasi_uniformity, csv_template = _detector_layout(
+            grid, cfg.detectors)
+        ms = inversion.add_noise(det_pts, u_final[det_idx], cfg.noise, cfg.seed)
+        serialize.write_measurements_csv(os.path.join(out, "measurements.csv"), ms,
+                                         csv_template)
+        measurement = {
             "n_detectors": ms.n,
             "noise_level": float(cfg.noise),
             "sigma": ms.sigma,
             "seed": cfg.seed,
-            "quasi_uniformity": _quasi_uniformity(grid.xs[np.unique(ix)],
-                                                  grid.ys[np.unique(iy)]),
+            "quasi_uniformity": quasi_uniformity,
             "noise_convention": "sigma = p * max|clean readings|",
-        })
+        }
 
     with _stage("denoise", stage_s):
         denoise_info = {"skipped": cfg.noise == 0.0}
@@ -534,13 +549,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
                                       max_snapshots=cfg.max_snapshots,
                                       driver_label=f"foreign shape {shape_name!r}",
                                       **selector)
-        serialize.write_pod_basis(os.path.join(out, "basis"), basis)
+        serialize.write_pod_basis(out, basis)
         angles = principal_angles(basis, traditional)
 
     with _stage("reduce", stage_s):
         model = build_reduced_model(ops, basis, tg, kind)
         reduced_final, _ = reduced_solve(model, truth)
-        serialize.write_reduced_model(os.path.join(out, "reduced_model"), model)
+        serialize.write_reduced_model(os.path.join(out, "reduced_model.csv"), model)
 
     with _stage("invert", stage_s):
         if cfg.lam == "auto":
@@ -564,6 +579,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
         metrics = {
             "config": cfg.to_dict(),
             "kind": kind.value,
+            "measurement": measurement,
             "denoise": denoise_info,
             "basis": {
                 "source": cfg.basis,

@@ -1,4 +1,4 @@
-"""Plain-text artifact formats: CSV fields/matrices and JSON manifests.
+"""Plain-text artifact formats: CSV fields/matrices and JSON reports.
 
 Nodal fields use a three-part CSV layout — a literal header line
 ``nx,ny,h``, one line with those three values, then ny rows of nx nodal
@@ -109,14 +109,18 @@ def read_matrix_csv(path) -> np.ndarray:
 
 def _json_leaf(obj):
     """The plain Python value of a numpy array or scalar, for ``json``."""
-    return obj.tolist()
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot write a {type(obj).__name__} as JSON")
 
 
 def write_json(path, payload: dict) -> None:
     """Write ``payload`` as indented JSON in one ``write``; ``json.dump``
-    with an indent makes one call per token."""
+    with an indent makes one call per token.  The text is encoded before
+    the file is opened, so a payload that cannot be encoded leaves no file."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_leaf) + "\n"
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True, default=_json_leaf) + "\n")
+        fh.write(text)
 
 
 def read_json(path) -> dict:
@@ -128,39 +132,43 @@ def read_json(path) -> dict:
 
 
 def write_pod_basis(dirpath, basis: PodBasis) -> None:
-    """One field CSV per mode plus a manifest with the spectrum and provenance."""
-    os.makedirs(dirpath, exist_ok=True)
+    """``basis.csv`` in ``dirpath``, one row of nodal values per mode in
+    field order, formatted a mode at a time, and ``basis.json`` with the
+    spectrum, the provenance and the grid size."""
     grid = basis.grid
-    for k in range(basis.n_pod):
-        write_field_csv(os.path.join(dirpath, f"mode_{k:03d}.csv"), grid, basis.psi[:, k])
-    write_json(os.path.join(dirpath, "manifest.json"), {
+    with open(os.path.join(dirpath, "basis.csv"), "w") as fh:
+        for k in range(basis.n_pod):
+            fh.write(_table(basis.psi[None, :, k]) + "\n")
+    write_json(os.path.join(dirpath, "basis.json"), {
         "n_pod": basis.n_pod,
         "retained_rank": basis.retained_rank,
         "rho": basis.rho,
         "eigenvalues": basis.eigenvalues,
         "provenance": basis.provenance,
+        "nx": grid.nx,
+        "ny": grid.ny,
     })
 
 
-def write_reduced_model(dirpath, model) -> None:
-    """Reduced operators as dense CSV next to a small manifest."""
-    os.makedirs(dirpath, exist_ok=True)
-    write_matrix_csv(os.path.join(dirpath, "reduced_stiffness.csv"), model.a_r)
-    write_matrix_csv(os.path.join(dirpath, "solution_operator.csv"),
-                     reduced.spod_matrix(model))
-    write_json(os.path.join(dirpath, "manifest.json"), {
-        "kind": model.kind.value,
-        "n_pod": model.n_pod,
-        "T": model.tg.T,
-        "M": model.tg.M,
-        "dt": model.tg.dt,
-    })
+def write_reduced_model(path, model) -> None:
+    """One matrix CSV: the rows of the reduced stiffness ``a_r``, then the
+    rows of the final-time solution operator."""
+    write_matrix_csv(path, np.vstack([model.a_r, reduced.spod_matrix(model)]))
 
 
-def write_measurements_csv(path, ms) -> None:
-    body = _table(np.column_stack([ms.detectors, ms.readings]))
-    with open(path, "w") as fh:
-        fh.write("x,y,reading\n" + (body + "\n" if body else ""))
+def measurements_template(detectors: np.ndarray) -> str:
+    """Measurements CSV text over ``detectors`` with a ``%.17g`` placeholder
+    for each reading: ``template % tuple(readings)`` is the file."""
+    rows = _table(np.reshape(detectors, (-1, 2))).splitlines()
+    return "x,y,reading\n" + "".join(f"{row},{_FMT}\n" for row in rows)
+
+
+def write_measurements_csv(path, ms, template: Optional[str] = None) -> None:
+    """``template``, when given, is ``measurements_template(ms.detectors)``,
+    kept by a caller that writes many readings on one layout."""
+    if template is None:
+        template = measurements_template(ms.detectors)
+    write_text(path, template % tuple(ms.readings.tolist()))
 
 
 def read_measurements_csv(path) -> Tuple[np.ndarray, np.ndarray]:

@@ -62,7 +62,8 @@ def test_adjoint_pod_fixed_count_and_energy(tmp_path, capsys):
     code = main(["adjoint-pod", "--data", "sin2", "--n-pod", "4",
                  "--out", str(out)] + _SMALL)
     assert code == 0
-    assert (out / "basis" / "manifest.json").is_file()
+    assert read_json(out / "basis.json")["n_pod"] == 4
+    assert len((out / "basis.csv").read_text().splitlines()) == 4
     report = read_json(out / "adjoint_pod.json")
     assert report["n_pod"] == 4
     assert 0.0 <= report["rho"] <= 1.0

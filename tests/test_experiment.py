@@ -11,6 +11,11 @@ from adjpod import (ExperimentConfig, StageError, build_grid, detector_nodes,
 _FAST = dict(nx=17, ny=17, M=10, n_pod=4, detectors="10x10")
 STAGES = ("setup", "truth", "forward", "measure", "denoise", "basis", "reduce",
           "invert", "metrics")
+# every file a noise-free run writes, all in one directory; a noisy run adds
+# denoised.csv
+NOISE_FREE_FILES = ("truth.csv", "final_state.csv", "measurements.csv", "basis.csv",
+                    "basis.json", "reduced_model.csv", "recovered.csv", "metrics.json",
+                    "timings.json")
 
 
 def _fast_config(**overrides):
@@ -127,12 +132,7 @@ def test_load_config_rejects_unknown_and_malformed_entries(tmp_path):
 def test_run_experiment_writes_artifacts_and_metrics(tmp_path):
     out = tmp_path / "run"
     metrics = run_experiment(_fast_config(), str(out))
-    for name in ("truth.csv", "final_state.csv", "measurements.csv",
-                 "measurements.json", "recovered.csv", "metrics.json", "timings.json"):
-        assert (out / name).is_file()
-    assert (out / "basis" / "manifest.json").is_file()
-    assert (out / "reduced_model" / "manifest.json").is_file()
-    assert not (out / "denoised.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == sorted(NOISE_FREE_FILES)
 
     assert metrics["kind"] == "source"
     assert metrics["denoise"]["skipped"] is True
@@ -157,12 +157,15 @@ def test_run_experiment_writes_artifacts_and_metrics(tmp_path):
 def test_run_experiment_noisy_path_denoises(tmp_path):
     out = tmp_path / "noisy"
     metrics = run_experiment(_fast_config(noise=0.25, seed=5), str(out))
-    assert (out / "denoised.csv").is_file()
+    assert sorted(p.name for p in out.iterdir()) == sorted(NOISE_FREE_FILES +
+                                                           ("denoised.csv",))
     assert metrics["denoise"]["skipped"] is False
     assert metrics["denoise"]["alpha"] > 0
     assert metrics["denoise"]["rel_l2_error_vs_clean_state"] < 1.0
     assert metrics["recovery"]["lambda"] > 1e-10
-    meas = read_json(out / "measurements.json")
+    meas = read_json(out / "metrics.json")["measurement"]
+    assert meas == metrics["measurement"]
+    assert meas["n_detectors"] == 100 and meas["seed"] == 5
     assert meas["noise_level"] == 0.25
     assert meas["sigma"] > 0
     assert meas["quasi_uniformity"] >= 1.0

@@ -1,5 +1,6 @@
 """Reuse inside one process: the problem memo, the per-(ops, dt)
-factorization table, the truth-stage memo and the denoise memo.
+factorization table, the truth-stage memo, the detector-layout memo and
+the denoise memo.
 
 Correctness of the reuse rests on complete keys, so every input that
 changes a result must miss the memo, and a run on a warm memo must write
@@ -42,6 +43,8 @@ CHANGES = {
     "n_pod": dict(n_pod=4),
     "energy": dict(energy=1e-6),
 }
+# a changed detector layout misses the layout memo but not the truth memo
+LAYOUT = replace(BASE, detectors="5x7")
 
 _COLD_RUNNER = textwrap.dedent("""
     import json, os, sys
@@ -64,8 +67,8 @@ _COLD_RUNNER = textwrap.dedent("""
 def cold(tmp_path_factory):
     """case -> output directory of the same config run on empty memos."""
     root = tmp_path_factory.mktemp("cold")
-    cases = {"base": BASE, **{name: replace(BASE, **change)
-                              for name, change in CHANGES.items()}}
+    cases = {"base": BASE, "layout": LAYOUT,
+             **{name: replace(BASE, **change) for name, change in CHANGES.items()}}
     jobs = [(asdict(cfg), str(root / name)) for name, cfg in cases.items()]
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     subprocess.run([sys.executable, "-c", _COLD_RUNNER], input=json.dumps(jobs),
@@ -116,6 +119,25 @@ def test_a_warm_run_writes_what_a_cold_process_writes(cold, tmp_path, artifact_t
     reference = artifact_tree(cold["base"])
     assert "denoised.csv" in reference
     assert artifact_tree(tmp_path / "warm") == reference
+
+
+def test_a_changed_detector_layout_writes_what_a_cold_process_writes(
+        cold, tmp_path, artifact_tree, monkeypatch):
+    """The measurements CSV template is formatted once per layout."""
+    templates = []
+    measurements_template = serialize.measurements_template
+    monkeypatch.setattr(serialize, "measurements_template", lambda points: (
+        templates.append(points) or measurements_template(points)))
+    experiment._detector_layout.cache_clear()
+    for seed in (1, 2):
+        run_experiment(replace(BASE, seed=seed), str(tmp_path / f"seed{seed}"))
+    assert len(templates) == 1
+    run_experiment(LAYOUT, str(tmp_path / "layout"))
+    assert len(templates) == 2 and templates[1].shape == (35, 2)
+    assert _timings(tmp_path / "layout")["forward_reused"] is True
+    assert artifact_tree(tmp_path / "layout") == artifact_tree(cold["layout"])
+    for array in templates:
+        assert not array.flags.writeable
 
 
 def test_arrays_held_by_the_truth_memo_are_read_only(tmp_path):

@@ -1,4 +1,4 @@
-"""Artifact formats: CSV round-trips and JSON manifests."""
+"""Artifact formats: CSV round-trips and JSON reports."""
 
 import io
 import json
@@ -7,12 +7,12 @@ import re
 import numpy as np
 import pytest
 
-from adjpod import (CoefficientSet, TimeGrid, add_noise, assemble_operators,
-                    build_adjoint_pod, build_grid, build_reduced_model,
-                    make_shape, read_field_csv, read_json, read_matrix_csv,
-                    read_measurements_csv, write_field_csv, write_json,
-                    write_matrix_csv, write_measurements_csv, write_pod_basis,
-                    write_reduced_model)
+from adjpod import (CoefficientSet, ExperimentConfig, TimeGrid, add_noise,
+                    assemble_operators, build_adjoint_pod, build_grid,
+                    build_reduced_model, make_shape, read_field_csv, read_json,
+                    read_matrix_csv, read_measurements_csv, run_experiment,
+                    spod_matrix, write_field_csv, write_json, write_matrix_csv,
+                    write_measurements_csv, write_pod_basis, write_reduced_model)
 from adjpod import serialize
 
 
@@ -124,38 +124,68 @@ def test_measurements_round_trip(tmp_path, grid, rng):
 
 
 def test_pod_basis_directory_layout(tmp_path, grid):
+    """``basis.csv`` holds one row per mode, each the 17-digit text of the
+    mode's field CSV rows joined into one line, next to ``basis.json``."""
     ops = assemble_operators(grid, CoefficientSet(q=1.0, c=0.0))
     m = make_shape("sin1", grid)
     basis = build_adjoint_pod("source", m, ops, TimeGrid(T=0.3, M=8),
                               n_modes=3)
-    out = tmp_path / "basis"
-    write_pod_basis(out, basis)
-    manifest = read_json(out / "manifest.json")
-    assert manifest["n_pod"] == 3
-    assert manifest["provenance"]["inverse_crime"] is False
-    assert len(manifest["eigenvalues"]) == basis.eigenvalues.size
-    for k in range(3):
-        grid_back, mode = read_field_csv(out / f"mode_{k:03d}.csv")
-        np.testing.assert_array_equal(mode, basis.psi[:, k])
+    write_pod_basis(tmp_path, basis)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["basis.csv", "basis.json"]
+    meta = read_json(tmp_path / "basis.json")
+    assert meta["n_pod"] == 3
+    assert (meta["nx"], meta["ny"]) == (grid.nx, grid.ny)
+    assert meta["provenance"]["inverse_crime"] is False
+    assert meta["eigenvalues"] == basis.eigenvalues.tolist()
+    rows = (tmp_path / "basis.csv").read_text().split("\n")
+    assert rows.pop() == ""
+    assert len(rows) == 3
+    for k, row in enumerate(rows):
+        assert row == ",".join(serialize.field_csv(grid, basis.psi[:, k]).splitlines()[2:])
+    np.testing.assert_array_equal(read_matrix_csv(tmp_path / "basis.csv"), basis.psi.T)
 
 
 def test_reduced_model_directory_layout(tmp_path, grid):
+    """``reduced_model.csv`` holds the rows of ``a_r``, then those of the
+    solution operator, bit for bit."""
     ops = assemble_operators(grid, CoefficientSet(q=1.0, c=0.0))
     m = make_shape("sin1", grid)
     tg = TimeGrid(T=0.3, M=8)
     basis = build_adjoint_pod("backward", m, ops, tg, n_modes=3)
     model = build_reduced_model(ops, basis, tg, "backward")
-    out = tmp_path / "model"
-    write_reduced_model(out, model)
-    manifest = read_json(out / "manifest.json")
-    assert manifest["kind"] == "backward"
-    assert manifest["n_pod"] == 3
-    assert manifest["M"] == 8
-    assert manifest["dt"] == pytest.approx(0.3 / 8)
-    a_r = read_matrix_csv(out / "reduced_stiffness.csv")
-    np.testing.assert_array_equal(a_r, model.a_r)
-    S = read_matrix_csv(out / "solution_operator.csv")
-    assert S.shape == (3, 3)
+    path = tmp_path / "reduced_model.csv"
+    write_reduced_model(path, model)
+    assert [p.name for p in tmp_path.iterdir()] == ["reduced_model.csv"]
+    stacked = read_matrix_csv(path)
+    assert stacked.shape == (6, 3)
+    np.testing.assert_array_equal(stacked[:3], model.a_r)
+    np.testing.assert_array_equal(stacked[3:], spod_matrix(model))
+    blocks = tmp_path / "a_r.csv", tmp_path / "S.csv"
+    write_matrix_csv(blocks[0], model.a_r)
+    write_matrix_csv(blocks[1], spod_matrix(model))
+    assert path.read_text() == blocks[0].read_text() + blocks[1].read_text()
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.25])
+def test_the_measurements_template_formats_what_the_table_does(tmp_path, noise):
+    """A run's ``measurements.csv``, written from the cached template, is
+    the text of one ``_table`` over detectors and readings."""
+    cfg = ExperimentConfig(nx=13, ny=11, M=6, detectors="4x5", max_snapshots=7,
+                           n_pod=3, noise=noise, seed=4)
+    run_experiment(cfg, str(tmp_path))
+    detectors, readings = read_measurements_csv(tmp_path / "measurements.csv")
+    table = serialize._table(np.column_stack([detectors, readings]))
+    assert (tmp_path / "measurements.csv").read_text() == "x,y,reading\n" + table + "\n"
+    assert serialize.measurements_template(detectors) % tuple(readings.tolist()) == \
+        "x,y,reading\n" + table + "\n"
+    assert serialize.measurements_template(np.empty((0, 2))) == "x,y,reading\n"
+
+
+def test_json_that_cannot_be_encoded_names_the_type_and_leaves_no_file(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(TypeError, match="cannot write a set as JSON"):
+        write_json(path, {"a": {1, 2}})
+    assert not path.exists()
 
 
 def test_an_empty_matrix_csv_fails_naming_the_file(tmp_path):

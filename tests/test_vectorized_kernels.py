@@ -145,11 +145,11 @@ def test_quasi_uniformity_of_one_detector_is_none(shape):
     assert _quasi_uniformity(xs, ys) is None
 
 
-def test_measurements_json_reports_the_kd_tree_ratio(tmp_path):
+def test_the_measurement_block_reports_the_kd_tree_ratio(tmp_path):
     cfg = ExperimentConfig(nx=13, ny=11, M=6, detectors="4x5", max_snapshots=7,
                            n_pod=3, energy=None)
     run_experiment(cfg, str(tmp_path))
     detectors = read_measurements_csv(tmp_path / "measurements.csv")[0]
     assert detectors.shape == (20, 2)
-    reported = read_json(tmp_path / "measurements.json")["quasi_uniformity"]
+    reported = read_json(tmp_path / "metrics.json")["measurement"]["quasi_uniformity"]
     assert reported == _kd_tree_ratio(detectors)

@@ -19,9 +19,9 @@ from typing import Optional
 import numpy as np
 
 from . import inversion, serialize
-from .experiment import (DEFAULT_T, DESK_M, DESK_NX, EXAMPLE_LABELS, FULL_M,
-                         FULL_NX, ExperimentConfig, StageError, _pod_size,
-                         build_problem, load_config, run_example, run_experiment)
+from .experiment import (_CONFIG_KEYS, DEFAULT_T, EXAMPLE_LABELS, STUDY_SCALE,
+                         ExperimentConfig, StageError, _pod_size, build_problem,
+                         load_config, run_example, run_experiment)
 from .reduced import build_adjoint_pod, drive
 from .shapes import list_shapes, make_shape
 from .spectral import ProblemKind, SpectralCoefficients, distinct_mu_subset, mode_table
@@ -39,22 +39,37 @@ def _report(name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
+def _add_full_scale_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--full-scale", action="store_true",
+                   help="use the {nx}x{ny}, M={M} study scale instead of the "
+                        "{desk.nx}x{desk.ny}, M={desk.M} default".format(
+                            desk=ExperimentConfig, **STUDY_SCALE))
+
+
+def _add_coefficient_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", default=ExperimentConfig.q, help="diffusion coefficient spec")
+    p.add_argument("--c", default=ExperimentConfig.c, help="reaction coefficient spec")
+
+
 def _add_grid_time_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nx", type=int, default=None, help="grid points along x")
     p.add_argument("--ny", type=int, default=None, help="grid points along y")
     p.add_argument("--T", type=float, default=None, help="final time")
     p.add_argument("--M", type=int, default=None, help="number of time steps")
-    p.add_argument("--q", default="1.0", help="diffusion coefficient spec")
-    p.add_argument("--c", default="0.0", help="reaction coefficient spec")
-    p.add_argument("--full-scale", action="store_true",
-                   help=f"use the {FULL_NX}x{FULL_NX}, M={FULL_M} study scale "
-                        f"instead of the {DESK_NX}x{DESK_NX}, M={DESK_M} default")
+    _add_coefficient_flags(p)
+    _add_full_scale_flag(p)
+
+
+def _scale(args) -> dict:
+    """The config fields ``--full-scale`` sets: the study scale, or none."""
+    return STUDY_SCALE if args.full_scale else {}
 
 
 def _grid_time_from(args) -> tuple:
-    nx = args.nx if args.nx is not None else (FULL_NX if args.full_scale else DESK_NX)
-    ny = args.ny if args.ny is not None else (FULL_NX if args.full_scale else DESK_NX)
-    m = args.M if args.M is not None else (FULL_M if args.full_scale else DESK_M)
+    # an explicit size wins over the scale, the scale over the config default
+    nx, ny, m = (getattr(args, name) if getattr(args, name) is not None
+                 else _scale(args).get(name, getattr(ExperimentConfig, name))
+                 for name in ("nx", "ny", "M"))
     return build_problem(args.kind, nx, ny, args.T, m, args.q, args.c)
 
 
@@ -111,10 +126,6 @@ def _cmd_adjoint_pod(args) -> int:
                               **_pod_size(args.n_pod, args.energy))
     os.makedirs(args.out, exist_ok=True)
     serialize.write_pod_basis(args.out, basis)
-    serialize.write_json(os.path.join(args.out, "adjoint_pod.json"), {
-        "kind": kind.value, "n_pod": basis.n_pod,
-        "retained_rank": basis.retained_rank, "rho": basis.rho,
-    })
     gram = basis.psi.T @ (ops.mass @ basis.psi)
     drift = float(np.max(np.abs(gram - np.eye(basis.n_pod))))
     ok = _report("basis is orthonormal in the mass inner product",
@@ -162,10 +173,9 @@ def _cmd_denoise(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_invert(args) -> int:
-    overrides = list(args.set or [])
-    if args.full_scale:
-        overrides = [f"grid.nx={FULL_NX}", f"grid.ny={FULL_NX}",
-                     f"time.m={FULL_M}"] + overrides
+    # the scale comes first, so the user's --set overrides win over it
+    overrides = [f"{_CONFIG_KEYS[name]}={value}" for name, value in _scale(args).items()]
+    overrides += args.set or []
     try:
         cfg = load_config(args.config, tuple(overrides))
     except ValueError as exc:
@@ -203,13 +213,11 @@ def _cmd_verify_theory(args) -> int:
     for kind in kinds:
         t_final = args.T if args.T is not None else DEFAULT_T[kind]
         for level in levels:
-            # Coefficients indexed against the distinct-eigenvalue table:
-            # amplitudes 1 (flat) or mu_k (eigenvalue).
+            # the first distinct-eigenvalue modes, with amplitudes mu_k
             table = mode_table(2 * level + 8)
-            coeffs = distinct_mu_subset(SpectralCoefficients(table, np.ones(len(table))),
+            subset = distinct_mu_subset(SpectralCoefficients(table, np.ones(len(table))),
                                         level, warn=False)
-            if args.profile == "eigenvalue":
-                coeffs = SpectralCoefficients(coeffs.modes, coeffs.mus)
+            coeffs = SpectralCoefficients(subset.modes, subset.mus)
             tm = build_theory_matrices(kind, level, level, t_final, coeffs, grid)
             span = verify_span_equality(tm)
             bound = pod_bound_report(tm, ops)
@@ -240,9 +248,8 @@ def _cmd_verify_theory(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_run_example(args) -> int:
-    scale = dict(nx=FULL_NX, ny=FULL_NX, M=FULL_M) if args.full_scale else {}
     seed = {} if args.seed is None else {"seed": args.seed}
-    base = ExperimentConfig(**scale, **seed)
+    base = ExperimentConfig(**_scale(args), **seed)
     out = args.out if args.out is not None else f"example_{args.label}"
     summary = run_example(args.label, out, base)
     for check in summary["checks"]:
@@ -316,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("forward", help="full-order forward solve")
-    p.add_argument("--kind", default="source", choices=["source", "backward"])
+    p.add_argument("--kind", default=ExperimentConfig.kind,
+                   choices=["source", "backward"])
     p.add_argument("--input", required=True,
                    help=f"shape name ({', '.join(list_shapes())}) or field CSV")
     p.add_argument("--out", default="forward_out")
@@ -324,23 +332,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_forward)
 
     p = sub.add_parser("adjoint-pod", help="build a data-driven POD basis")
-    p.add_argument("--kind", default="source", choices=["source", "backward"])
+    p.add_argument("--kind", default=ExperimentConfig.kind,
+                   choices=["source", "backward"])
     p.add_argument("--data", required=True, help="measured field CSV or shape name")
-    p.add_argument("--n-pod", type=int, default=9)
+    p.add_argument("--n-pod", type=int, default=ExperimentConfig.n_pod)
     p.add_argument("--energy", type=float, default=None,
                    help="tail-energy tolerance (overrides --n-pod)")
-    p.add_argument("--max-snapshots", type=int, default=201)
+    p.add_argument("--max-snapshots", type=int, default=ExperimentConfig.max_snapshots)
     p.add_argument("--out", default="adjoint_pod_out")
     _add_grid_time_flags(p)
     p.set_defaults(handler=_cmd_adjoint_pod)
 
     p = sub.add_parser("denoise", help="fit a smooth field to noisy detectors")
     p.add_argument("--measurements", required=True, help="detector CSV")
-    p.add_argument("--nx", type=int, default=DESK_NX)
-    p.add_argument("--ny", type=int, default=DESK_NX)
-    p.add_argument("--q", default="1.0")
-    p.add_argument("--c", default="0.0")
-    p.add_argument("--alpha", default="auto",
+    p.add_argument("--nx", type=int, default=ExperimentConfig.nx)
+    p.add_argument("--ny", type=int, default=ExperimentConfig.ny)
+    _add_coefficient_flags(p)
+    p.add_argument("--alpha", default=ExperimentConfig.alpha,
                    help="smoothing weight, or 'auto' (needs --sigma)")
     p.add_argument("--sigma", type=float, default=None,
                    help="noise scale used by the automatic alpha rule")
@@ -352,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                    help="override a config key (repeatable)")
     p.add_argument("--out", default=None)
-    p.add_argument("--full-scale", action="store_true")
+    _add_full_scale_flag(p)
     p.set_defaults(handler=_cmd_invert)
 
     p = sub.add_parser("verify-theory", help="analytic span/bound cross-checks")
@@ -360,13 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", default="2,4,6",
                    help="comma-separated mode counts (L=M)")
     p.add_argument("--T", type=float, default=None)
-    p.add_argument("--nx", type=int, default=DESK_NX)
-    p.add_argument("--ny", type=int, default=DESK_NX)
-    p.add_argument("--profile", default="eigenvalue",
-                   choices=["flat", "eigenvalue"],
-                   help="modal coefficient profile for the analytic test "
-                        "problem (amplitudes 1 or mu_k; the latter keeps the "
-                        "snapshot spectrum inside the POD retention window)")
+    p.add_argument("--nx", type=int, default=ExperimentConfig.nx)
+    p.add_argument("--ny", type=int, default=ExperimentConfig.ny)
     p.add_argument("--out", default=None, help="directory for the JSON report")
     p.set_defaults(handler=_cmd_verify_theory)
 
@@ -374,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("label", choices=list(EXAMPLE_LABELS))
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--full-scale", action="store_true")
+    _add_full_scale_flag(p)
     p.set_defaults(handler=_cmd_run_example)
 
     p = sub.add_parser("sweep", help="run several configs in parallel")

@@ -28,7 +28,7 @@ import functools
 import math
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -37,17 +37,16 @@ from . import inversion, serialize
 from .fem import CoefficientSet, TimeGrid, assemble_operators
 from .fem import solve_forward  # noqa: F401 - traced by perfbench/spans.py
 from .grid import DOMAIN_SIDE, Grid2D, build_grid
-from .pod import PodBasis, principal_angles
+from .pod import MAX_SNAPSHOTS, PodBasis, principal_angles
 from .reduced import (build_adjoint_pod, build_reduced_model, build_traditional_pod,
                       reduced_solve, snapshot_set)
 from .reduced import spod_matrix  # noqa: F401 - traced by perfbench/spans.py
 from .shapes import make_shape
 from .spectral import ProblemKind, project_onto_modes
 
-DESK_NX = 33
-DESK_M = 100
-FULL_NX = 51
-FULL_M = 400
+_DESK_SIDE = 33     # grid nodes per side at the default (desk) scale
+# the larger scale of the CLI's --full-scale, as ExperimentConfig fields
+STUDY_SCALE = {"nx": 51, "ny": 51, "M": 400}
 DEFAULT_T = {ProblemKind.INVERSE_SOURCE: 1.0, ProblemKind.BACKWARD: 0.05}
 
 _NAMED_COEFFS = {
@@ -137,32 +136,38 @@ def _non_negative(raw) -> bool:
     return bool(np.isfinite(value) and value >= 0)
 
 
+def _ini(address: str, default):
+    """A config field that the INI key ``address`` (``section.key``) sets."""
+    return field(default=default, metadata={"ini": address})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat description of one pipeline run."""
+    """Flat description of one pipeline run; each field carries its INI
+    ``section.key`` address, from which the config schema is built."""
 
-    kind: str = "source"
-    truth: str = "sin2"
-    nx: int = DESK_NX
-    ny: int = DESK_NX
-    T: Optional[float] = None          # default depends on the problem kind
-    M: int = DESK_M
-    q: str = "1.0"
-    c: str = "0.0"
-    noise: float = 0.0
-    seed: int = 0
-    detectors: str = "50x50"
-    alpha: str = "auto"
-    basis: str = "adjoint"             # adjoint | traditional | foreign:<shape>
-    n_pod: int = 9
-    energy: Optional[float] = None     # overrides n_pod when set
-    max_snapshots: int = 201
-    lam: str = "auto"
-    beta: Optional[float] = None
-    max_iters: int = 5000
-    grad_tol: Optional[float] = None
-    mode: str = "direct"
-    out_dir: str = "artifacts"
+    kind: str = _ini("problem.kind", "source")
+    truth: str = _ini("problem.truth", "sin2")
+    nx: int = _ini("grid.nx", _DESK_SIDE)
+    ny: int = _ini("grid.ny", _DESK_SIDE)
+    T: Optional[float] = _ini("time.t", None)   # default depends on the problem kind
+    M: int = _ini("time.m", 100)
+    q: str = _ini("coefficients.q", "1.0")
+    c: str = _ini("coefficients.c", "0.0")
+    noise: float = _ini("measurement.noise", 0.0)
+    seed: int = _ini("measurement.seed", 0)
+    detectors: str = _ini("measurement.detectors", "50x50")
+    alpha: str = _ini("measurement.alpha", "auto")
+    basis: str = _ini("pod.basis", "adjoint")  # adjoint | traditional | foreign:<shape>
+    n_pod: int = _ini("pod.n_pod", 9)
+    energy: Optional[float] = _ini("pod.energy", None)  # overrides n_pod when set
+    max_snapshots: int = _ini("pod.max_snapshots", MAX_SNAPSHOTS)
+    lam: str = _ini("inverse.lambda", "auto")
+    beta: Optional[float] = _ini("inverse.beta", inversion.InverseConfig.beta)
+    max_iters: int = _ini("inverse.max_iters", inversion.InverseConfig.max_iters)
+    grad_tol: Optional[float] = _ini("inverse.grad_tol", inversion.InverseConfig.grad_tol)
+    mode: str = _ini("inverse.mode", "direct")
+    out_dir: str = _ini("output.dir", "artifacts")
 
     def __post_init__(self):
         profiles = ", ".join(sorted(_NAMED_COEFFS))
@@ -223,34 +228,13 @@ class ExperimentConfig:
         return out
 
 
+# parser of an INI value by the annotation of the field it sets
+_PARSERS = {"str": str, "int": int, "float": float, "Optional[float]": float}
 # (section, key) -> (config field, parser); keys are lowercase (INI style)
-_CONFIG_SCHEMA = {
-    ("problem", "kind"): ("kind", str),
-    ("problem", "truth"): ("truth", str),
-    ("grid", "nx"): ("nx", int),
-    ("grid", "ny"): ("ny", int),
-    ("time", "t"): ("T", float),
-    ("time", "m"): ("M", int),
-    ("coefficients", "q"): ("q", str),
-    ("coefficients", "c"): ("c", str),
-    ("measurement", "noise"): ("noise", float),
-    ("measurement", "seed"): ("seed", int),
-    ("measurement", "detectors"): ("detectors", str),
-    ("measurement", "alpha"): ("alpha", str),
-    ("pod", "basis"): ("basis", str),
-    ("pod", "n_pod"): ("n_pod", int),
-    ("pod", "energy"): ("energy", float),
-    ("pod", "max_snapshots"): ("max_snapshots", int),
-    ("inverse", "lambda"): ("lam", str),
-    ("inverse", "beta"): ("beta", float),
-    ("inverse", "max_iters"): ("max_iters", int),
-    ("inverse", "grad_tol"): ("grad_tol", float),
-    ("inverse", "mode"): ("mode", str),
-    ("output", "dir"): ("out_dir", str),
-}
+_CONFIG_SCHEMA = {tuple(f.metadata["ini"].split(".")): (f.name, _PARSERS[f.type])
+                  for f in fields(ExperimentConfig)}
 # config field -> its "section.key" name, for error messages
-_CONFIG_KEYS = {name: f"{section}.{key}"
-                for (section, key), (name, _) in _CONFIG_SCHEMA.items()}
+_CONFIG_KEYS = {f.name: f.metadata["ini"] for f in fields(ExperimentConfig)}
 
 
 def load_config(path: Optional[str] = None,
@@ -453,8 +437,8 @@ def _truth_stage(problem: tuple, truth: str, max_snapshots: int, n_pod: int,
     with _stage("forward"):
         snapshots = snapshot_set(kind, field, ops, tg, max_snapshots)
         if ops.norm(snapshots.states[-1]) == 0.0:
-            raise ValueError("the truth's final state underflows to zero: "
-                             "coefficients.c, coefficients.q or time.t decay it too far")
+            raise ValueError("the truth's final state underflows to zero: {c}, {q} or {T} "
+                             "decay it too far".format(**_CONFIG_KEYS))
     with _stage("basis"):
         traditional = build_traditional_pod(kind, snapshots, **_pod_size(n_pod, energy))
     final = snapshots.states[-1].copy()
@@ -528,7 +512,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
                 alpha_used = float(cfg.alpha)
             m_field = inversion.denoise(ms, grid, alpha_used)
             if ops.norm(m_field) == 0.0 and np.any(ms.readings):
-                raise ValueError(f"measurement.alpha={alpha_used:.6g} smooths the "
+                raise ValueError(f"{_CONFIG_KEYS['alpha']}={alpha_used:.6g} smooths the "
                                  f"readings to a zero field; lower it")
             denoise_info["rel_l2_error_vs_clean_state"] = relative_l2_error(
                 ops, m_field, u_final)

@@ -26,6 +26,7 @@ import scipy.linalg
 from .fem import PINNED_UNKNOWNS, DiscreteOperators, Trajectory, out_array
 
 RANK_CUTOFF = 1e-12  # discard correlation eigenvalues below RANK_CUTOFF * lambda_1
+MAX_SNAPSHOTS = 201  # default snapshot budget: states plus difference quotients
 _MASS_BLOCK_ROWS = 32  # snapshot rows per sparse mass product
 
 
@@ -78,7 +79,7 @@ class PodBasis:
                         provenance=dict(self.provenance, truncated_from=self.n_pod))
 
 
-def snapshot_steps(M: int, max_snapshots: int = 201) -> np.ndarray:
+def snapshot_steps(M: int, max_snapshots: int = MAX_SNAPSHOTS) -> np.ndarray:
     """Time steps k of an M-step path whose states form the snapshot set.
 
     Every step 0..M when the 2M+1 states and quotients fit
@@ -96,7 +97,7 @@ def snapshot_steps(M: int, max_snapshots: int = 201) -> np.ndarray:
 
 
 def collect_snapshots(traj: Trajectory, ops: DiscreteOperators,
-                      max_snapshots: int = 201,
+                      max_snapshots: int = MAX_SNAPSHOTS,
                       out: Optional[np.ndarray] = None) -> SnapshotSet:
     """States plus difference quotients, subsampled to fit ``max_snapshots``.
 

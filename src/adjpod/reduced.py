@@ -20,8 +20,8 @@ import numpy as np
 import scipy.linalg
 
 from .fem import DiscreteOperators, TimeGrid, Trajectory, conform_dirichlet, solve_forward
-from .pod import (PodBasis, SnapshotSet, collect_snapshots, compute_pod_basis,
-                  snapshot_steps)
+from .pod import (MAX_SNAPSHOTS, PodBasis, SnapshotSet, collect_snapshots,
+                  compute_pod_basis, snapshot_steps)
 from .spectral import ProblemKind
 
 _ORTHO_TOL = 1e-10
@@ -57,7 +57,7 @@ def _measurement_field(m: np.ndarray, ops: DiscreteOperators) -> np.ndarray:
 
 
 def snapshot_set(kind: ProblemKind, field: np.ndarray, ops: DiscreteOperators,
-                 tg: TimeGrid, max_snapshots: int = 201) -> SnapshotSet:
+                 tg: TimeGrid, max_snapshots: int = MAX_SNAPSHOTS) -> SnapshotSet:
     """Snapshot set of the heat equation driven by ``field`` as in ``drive``.
 
     Allocates the one (2m+1, n_nodes) snapshot matrix Y, m+1 the number of
@@ -75,7 +75,7 @@ def snapshot_set(kind: ProblemKind, field: np.ndarray, ops: DiscreteOperators,
 def build_adjoint_pod(kind: ProblemKind, m: np.ndarray, ops: DiscreteOperators,
                       tg: TimeGrid, n_modes: Optional[int] = None,
                       energy_tol: Optional[float] = None,
-                      max_snapshots: int = 201,
+                      max_snapshots: int = MAX_SNAPSHOTS,
                       driver_label: str = "measured-data") -> PodBasis:
     """Measurement-driven basis: auxiliary solve -> snapshots -> POD.
 

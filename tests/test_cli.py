@@ -62,18 +62,19 @@ def test_adjoint_pod_fixed_count_and_energy(tmp_path, capsys):
     code = main(["adjoint-pod", "--data", "sin2", "--n-pod", "4",
                  "--out", str(out)] + _SMALL)
     assert code == 0
-    assert read_json(out / "basis.json")["n_pod"] == 4
-    assert len((out / "basis.csv").read_text().splitlines()) == 4
-    report = read_json(out / "adjoint_pod.json")
+    report = read_json(out / "basis.json")
     assert report["n_pod"] == 4
+    assert 4 <= report["retained_rank"]
     assert 0.0 <= report["rho"] <= 1.0
+    assert len((out / "basis.csv").read_text().splitlines()) == 4
+    assert sorted(p.name for p in out.iterdir()) == ["basis.csv", "basis.json"]
     assert capsys.readouterr().out.count("PASS") == 2
 
     out2 = tmp_path / "pod_energy"
     code = main(["adjoint-pod", "--data", "sin2", "--energy", "1e-10",
                  "--kind", "backward", "--out", str(out2)] + _SMALL)
     assert code == 0
-    assert read_json(out2 / "adjoint_pod.json")["kind"] == "backward"
+    assert read_json(out2 / "basis.json")["provenance"]["kind"] == "backward"
 
 
 def _write_measurements(tmp_path):

@@ -76,7 +76,7 @@ def _grid_time_from(args) -> tuple:
 def _field_from(spec: str, grid, what: str):
     """A field argument is a shape name or a path to a field CSV; ``what``
     names the field's role in the error raised for an unreadable file."""
-    if os.path.exists(spec):
+    if os.path.isfile(spec):
         try:
             file_grid, values = serialize.read_field_csv(spec)
         except ValueError as exc:

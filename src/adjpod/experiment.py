@@ -41,7 +41,7 @@ from .pod import MAX_SNAPSHOTS, PodBasis, principal_angles
 from .reduced import (build_adjoint_pod, build_reduced_model, build_traditional_pod,
                       reduced_solve, snapshot_set)
 from .reduced import spod_matrix  # noqa: F401 - traced by perfbench/spans.py
-from .shapes import make_shape
+from .shapes import list_shapes, make_shape
 from .spectral import ProblemKind, project_onto_modes
 
 _DESK_SIDE = 33     # grid nodes per side at the default (desk) scale
@@ -170,11 +170,12 @@ class ExperimentConfig:
     out_dir: str = _ini("output.dir", "artifacts")
 
     def __post_init__(self):
-        profiles = ", ".join(sorted(_NAMED_COEFFS))
+        profiles, shapes = ", ".join(sorted(_NAMED_COEFFS)), ", ".join(list_shapes())
         # (field, holds, rule); a failure names the field's INI key
         for name, holds, rule in (
             ("kind", _parsed(ProblemKind.parse, self.kind) is not None,
              "problem kind must be 'source' or 'backward'"),
+            ("truth", self.truth in list_shapes(), f"shape must be one of: {shapes}"),
             ("nx", self.nx >= 3, "grid needs at least 3 points along x"),
             ("ny", self.ny >= 3, "grid needs at least 3 points along y"),
             ("M", self.M >= 1, "number of time steps must be >= 1"),
@@ -195,9 +196,10 @@ class ExperimentConfig:
              "energy tolerance must be finite and >= 0"),
             ("max_snapshots", self.max_snapshots >= 3 and self.max_snapshots % 2 == 1,
              "snapshot budget must be odd and >= 3"),
-            ("basis", self.basis in ("adjoint", "traditional") or
-             self.basis.startswith("foreign:"),
-             "basis source must be adjoint, traditional or foreign:<shape>"),
+            ("basis", self.basis in ["adjoint", "traditional"] +
+             [f"foreign:{shape}" for shape in list_shapes()],
+             f"basis source must be adjoint, traditional or foreign:<shape> with "
+             f"<shape> one of: {shapes}"),
             ("beta", self.beta is None or _positive(self.beta),
              "step size must be finite and positive"),
             ("max_iters", self.max_iters >= 1, "iteration cap must be >= 1"),
@@ -419,6 +421,16 @@ class TruthStage:
                                           self.final)
 
 
+def _nonzero_shape(name: str, shape: str, grid: Grid2D) -> np.ndarray:
+    """``make_shape(shape, grid)`` for the config field ``name``; a shape
+    that is zero at every node of the grid fails naming the field's key."""
+    values = make_shape(shape, grid)
+    if not np.any(values):
+        raise ValueError(f"{_CONFIG_KEYS[name]}: shape {shape!r} is zero at every "
+                         f"node of the {grid.nx}x{grid.ny} grid; refine the grid")
+    return values
+
+
 @functools.lru_cache(maxsize=1)
 def _truth_stage(problem: tuple, truth: str, max_snapshots: int, n_pod: int,
                  energy: Optional[float]) -> TruthStage:
@@ -433,7 +445,7 @@ def _truth_stage(problem: tuple, truth: str, max_snapshots: int, n_pod: int,
     """
     kind, grid, ops, tg = problem
     with _stage("truth"):
-        field = make_shape(truth, grid)
+        field = _nonzero_shape("truth", truth, grid)
     with _stage("forward"):
         snapshots = snapshot_set(kind, field, ops, tg, max_snapshots)
         if ops.norm(snapshots.states[-1]) == 0.0:
@@ -528,7 +540,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
             basis = traditional
         else:
             shape_name = cfg.basis.split(":", 1)[1]
-            driver = make_shape(shape_name, grid)
+            driver = _nonzero_shape("basis", shape_name, grid)
             basis = build_adjoint_pod(kind, driver, ops, tg,
                                       max_snapshots=cfg.max_snapshots,
                                       driver_label=f"foreign shape {shape_name!r}",

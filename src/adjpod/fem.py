@@ -93,10 +93,6 @@ class DiscreteOperators:
     stiffness: sp.csr_matrix
 
     @property
-    def boundary(self) -> np.ndarray:
-        return self.grid.boundary
-
-    @property
     def interior(self) -> np.ndarray:
         return self.grid.interior
 

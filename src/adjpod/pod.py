@@ -133,18 +133,12 @@ def collect_snapshots(traj: Trajectory, ops: DiscreteOperators,
                        max_snapshots=max_snapshots)
 
 
-def _as_matrix(snapshots) -> np.ndarray:
-    if isinstance(snapshots, SnapshotSet):
-        return snapshots.snapshots
-    return np.asarray(snapshots, dtype=float)
-
-
-def _ops_of(snapshots, ops: Optional[DiscreteOperators]) -> DiscreteOperators:
-    if isinstance(snapshots, SnapshotSet):
-        return snapshots.ops
-    if ops is None:
-        raise ValueError("operators must be supplied for raw snapshot arrays")
-    return ops
+def _mass_blocks(mass, Y: np.ndarray):
+    """``(start, stop, mass @ Y[start:stop].T)`` per ``_MASS_BLOCK_ROWS`` snapshot
+    rows; a caller deletes each block before the next, so one exists at a time."""
+    for start in range(0, Y.shape[0], _MASS_BLOCK_ROWS):
+        stop = min(start + _MASS_BLOCK_ROWS, Y.shape[0])
+        yield start, stop, mass @ Y[start:stop].T
 
 
 def _mass_product(mass, Y: np.ndarray) -> np.ndarray:
@@ -153,29 +147,27 @@ def _mass_product(mass, Y: np.ndarray) -> np.ndarray:
     Each entry is the same sum as in the one-shot product, so the bits are
     equal."""
     out = np.empty((Y.shape[1], Y.shape[0]))
-    for start in range(0, Y.shape[0], _MASS_BLOCK_ROWS):
-        stop = start + _MASS_BLOCK_ROWS
-        out[:, start:stop] = mass @ Y[start:stop].T
+    for start, stop, block in _mass_blocks(mass, Y):
+        out[:, start:stop] = block
+        del block
     return out
 
 
-def correlation_matrix(snapshots, ops: Optional[DiscreteOperators] = None) -> np.ndarray:
-    """Dense symmetric K with K_ij = (y_i, y_j) in the mass inner product.
+def correlation_matrix(Y: np.ndarray, ops: DiscreteOperators) -> np.ndarray:
+    """Dense symmetric K_ij = (y_i, y_j) of the rows of Y in the mass inner product.
 
     Up to ``PINNED_UNKNOWNS`` interior unknowns K = Y (M Y^T) is a single
     GEMM, because splitting it into blocks changes the rounding of its
     entries.  Above, K is filled ``_MASS_BLOCK_ROWS`` columns at a time,
     K[:, a:b] = Y (M Y[a:b]^T), so the (n_nodes, count) mass product is
     never built; K then agrees with the single GEMM to roundoff."""
-    Y = _as_matrix(snapshots)
-    the_ops = _ops_of(snapshots, ops)
-    if the_ops.interior.size <= PINNED_UNKNOWNS:
-        K = Y @ _mass_product(the_ops.mass, Y)
+    if ops.interior.size <= PINNED_UNKNOWNS:
+        K = Y @ _mass_product(ops.mass, Y)
     else:
         K = np.empty((Y.shape[0], Y.shape[0]))
-        for start in range(0, Y.shape[0], _MASS_BLOCK_ROWS):
-            stop = start + _MASS_BLOCK_ROWS
-            K[:, start:stop] = Y @ (the_ops.mass @ Y[start:stop].T)
+        for start, stop, block in _mass_blocks(ops.mass, Y):
+            K[:, start:stop] = Y @ block
+            del block
     return 0.5 * (K + K.T)
 
 
@@ -186,11 +178,10 @@ def _tail_ratio(lams: np.ndarray, n: int) -> float:
     return float(max(lams[n:].sum() / total, 0.0))
 
 
-def compute_pod_basis(snapshots, n_modes: Optional[int] = None,
-                      energy_tol: Optional[float] = None,
-                      ops: Optional[DiscreteOperators] = None,
+def compute_pod_basis(Y: np.ndarray, n_modes: Optional[int] = None,
+                      energy_tol: Optional[float] = None, *, ops: DiscreteOperators,
                       provenance: Optional[dict] = None) -> PodBasis:
-    """Method-of-snapshots basis.
+    """Method-of-snapshots basis of the snapshot matrix Y (one snapshot per row).
 
     Exactly one of ``n_modes`` (fixed count, clipped to the retained rank)
     and ``energy_tol`` (smallest count whose tail ratio is <= the
@@ -203,9 +194,7 @@ def compute_pod_basis(snapshots, n_modes: Optional[int] = None,
     if energy_tol is not None and not (np.isfinite(energy_tol) and energy_tol >= 0):
         raise ValueError(f"energy_tol must be finite and >= 0, got {energy_tol}")
 
-    the_ops = _ops_of(snapshots, ops)
-    Y = _as_matrix(snapshots)
-    K = correlation_matrix(Y, the_ops)
+    K = correlation_matrix(Y, ops)
     lams, vecs = scipy.linalg.eigh(K)
     order = np.argsort(lams)[::-1]
     lams = np.maximum(lams[order], 0.0)
@@ -218,11 +207,10 @@ def compute_pod_basis(snapshots, n_modes: Optional[int] = None,
 
     # one stabilized re-orthonormalization pass (modified Gram-Schmidt in
     # the mass inner product) to repair drift from the small eigenvalues
-    mass = the_ops.mass
     mpsi = np.empty_like(psi)
     for a in range(rank):
         v = psi[:, a].copy()
-        mv = mass @ v
+        mv = ops.mass @ v
         for b in range(a):
             coeff = psi[:, b] @ mv
             v -= coeff * psi[:, b]
@@ -241,19 +229,18 @@ def compute_pod_basis(snapshots, n_modes: Optional[int] = None,
         n_pod = int(hits[0]) + 1 if hits.size else rank
 
     return PodBasis(psi=psi[:, :n_pod], eigenvalues=lams, rho=_tail_ratio(lams, n_pod),
-                    n_pod=n_pod, retained_rank=rank, ops=the_ops,
+                    n_pod=n_pod, retained_rank=rank, ops=ops,
                     provenance=provenance or {})
 
 
-def projection_error_ratio(snapshots, basis: PodBasis):
+def projection_error_ratio(Y: np.ndarray, basis: PodBasis):
     """Both sides of the snapshot-energy error identity.
 
-    lhs = sum_i ||y_i - P y_i||^2 / sum_i ||y_i||^2 with P the projector
-    onto the basis; rhs = the basis tail ratio.  The two agree (up to
-    eigensolver noise) exactly when the basis was built from this very
-    snapshot set; with a foreign basis only lhs is meaningful.
+    lhs = sum_i ||y_i - P y_i||^2 / sum_i ||y_i||^2 over the rows of Y, P
+    the projector onto the basis; rhs = the basis tail ratio.  The two agree
+    (up to eigensolver noise) exactly when the basis was built from this
+    very Y; with a foreign basis only lhs is meaningful.
     """
-    Y = _as_matrix(snapshots)
     mass = basis.ops.mass
     MY = _mass_product(mass, Y).T
     den = float(np.sum(Y * MY))

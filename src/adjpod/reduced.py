@@ -112,8 +112,8 @@ def _pod_basis(kind: ProblemKind, snaps: SnapshotSet, n_modes: Optional[int],
         "max_snapshots": snaps.max_snapshots,
         "inverse_crime": inverse_crime,
     }
-    return compute_pod_basis(snaps, n_modes=n_modes, energy_tol=energy_tol,
-                             provenance=provenance)
+    return compute_pod_basis(snaps.snapshots, n_modes=n_modes, energy_tol=energy_tol,
+                             ops=snaps.ops, provenance=provenance)
 
 
 @dataclass(eq=False)

@@ -14,7 +14,6 @@ of A onto the At-derived basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -120,14 +119,13 @@ def verify_span_equality(tm: TheoryMatrices, tol: float = 1e-10) -> dict:
 
 
 def verify_pod_bound(kind: ProblemKind, L: int, M: int, T: float,
-                     fcoeffs: SpectralCoefficients, grid: Grid2D,
-                     n_pod: Optional[int] = None, *, ops) -> dict:
+                     fcoeffs: SpectralCoefficients, grid: Grid2D, *, ops) -> dict:
     """``pod_bound_report`` on the modal problem built from these arguments,
     with ``ops`` the grid's q = 1, c = 0 operators."""
-    return pod_bound_report(build_theory_matrices(kind, L, M, T, fcoeffs, grid), ops, n_pod)
+    return pod_bound_report(build_theory_matrices(kind, L, M, T, fcoeffs, grid), ops)
 
 
-def pod_bound_report(tm: TheoryMatrices, ops, n_pod: Optional[int] = None) -> dict:
+def pod_bound_report(tm: TheoryMatrices, ops) -> dict:
     """Projection of the forward snapshots onto the data-driven basis.
 
     Builds the POD basis from the columns of A-tilde; for every basis size
@@ -143,7 +141,6 @@ def pod_bound_report(tm: TheoryMatrices, ops, n_pod: Optional[int] = None) -> di
     """
     basis = compute_pod_basis(tm.A_tilde.T, energy_tol=0.0, ops=ops)
     rank = basis.n_pod
-    n_pod = rank if n_pod is None else min(n_pod, rank)
     if tm.kind is ProblemKind.INVERSE_SOURCE:
         bound_factor = float(tm.L ** 2)            # L^{4/d} with d = 2
     else:
@@ -169,10 +166,6 @@ def pod_bound_report(tm: TheoryMatrices, ops, n_pod: Optional[int] = None) -> di
         "modes": [list(jk) for jk in tm.modes],
         "bound_factor": bound_factor,
         "retained_rank": rank,
-        "n_pod": n_pod,
-        "lhs": table[n_pod]["lhs"],
-        "rho": table[n_pod]["rho"],
-        "implied_constant": table[n_pod]["implied_constant"],
         "full_rank_lhs": full_rank_lhs,
         "table": table,
         "pass": bool(full_rank_lhs <= 1e-6),

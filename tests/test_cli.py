@@ -43,6 +43,15 @@ def test_forward_full_scale_flag(tmp_path):
     assert report["T"] == 0.05
 
 
+def test_forward_reads_a_shape_name_shadowed_by_a_directory(tmp_path, monkeypatch):
+    (tmp_path / "sin2").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["forward", "--input", "sin2", "--nx", "9", "--ny", "9", "--M", "5",
+                 "--out", "fwd"]) == 0
+    _, values = serialize.read_field_csv(tmp_path / "fwd" / "input.csv")
+    np.testing.assert_allclose(values, make_shape("sin2", build_grid(9, 9)), atol=1e-12)
+
+
 def test_forward_with_field_csv_and_grid_mismatch(tmp_path, capsys):
     grid = build_grid(17, 17)
     field_path = tmp_path / "field.csv"
@@ -125,8 +134,9 @@ def test_invert_with_config_and_overrides(tmp_path, capsys):
 
 
 def test_invert_reports_failing_stage(tmp_path, capsys):
-    ini = _small_ini(tmp_path, truth="not-a-shape")
-    code = main(["invert", "--config", ini, "--out", str(tmp_path / "bad")])
+    ini = _small_ini(tmp_path, truth="glyphA")     # zero at every node of a 5x5 grid
+    code = main(["invert", "--config", ini, "--set", "grid.nx=5", "--set", "grid.ny=5",
+                 "--out", str(tmp_path / "bad")])
     assert code == 1
     stdout = capsys.readouterr().out
     assert "FAIL" in stdout and "stage 'truth'" in stdout

@@ -61,6 +61,9 @@ BAD_VALUES = [
     ("problem.kind=oblique", "problem.kind"),
     ("inverse.mode=annealing", "inverse.mode"),
     ("pod.basis=psychic", "pod.basis"),
+    ("problem.truth=nosuch", "problem.truth"),
+    ("pod.basis=foreign:nosuch", "pod.basis"),
+    ("pod.basis=foreign:", "pod.basis"),
 ]
 TINY = ("grid.nx=9", "grid.ny=9", "time.m=5")
 

@@ -182,18 +182,22 @@ def test_run_experiment_gradient_mode_and_foreign_basis(tmp_path):
 
 
 def test_stage_error_carries_the_failing_stage(tmp_path):
-    cfg = _fast_config(truth="not-a-shape")
+    cfg = _fast_config(truth="glyphA", nx=5, ny=5)     # zero at every node
     with pytest.raises(StageError) as err:
         run_experiment(cfg, str(tmp_path / "boom"))
     assert err.value.stage == "truth"
-    assert "truth" in str(err.value)
+    assert "problem.truth: shape 'glyphA' is zero at every node of the 5x5 grid" in \
+        str(err.value)
     assert isinstance(err.value.original, ValueError)
 
 
 def test_an_unknown_foreign_shape_fails_in_the_basis_stage(tmp_path):
     with pytest.raises(StageError) as err:
-        run_experiment(_fast_config(basis="foreign:not-a-shape"), str(tmp_path / "boom"))
+        run_experiment(_fast_config(basis="foreign:glyphA", nx=5, ny=5),
+                       str(tmp_path / "boom"))
     assert err.value.stage == "basis"
+    assert "pod.basis: shape 'glyphA' is zero at every node of the 5x5 grid" in \
+        str(err.value)
     assert isinstance(err.value.original, ValueError)
 
 

@@ -172,8 +172,8 @@ def test_principal_angles_detect_shared_and_new_directions(ops, grid, rng):
 
 def test_snapshot_set_feeds_pod(trajectory, ops):
     snaps = collect_snapshots(trajectory, ops)
-    basis = compute_pod_basis(snaps, n_modes=3)
+    basis = compute_pod_basis(snaps.snapshots, n_modes=3, ops=snaps.ops)
     assert basis.psi.shape == (trajectory.states.shape[1], 3)
-    ratio, rho = projection_error_ratio(snaps, basis)
+    ratio, rho = projection_error_ratio(snaps.snapshots, basis)
     assert 0.0 <= ratio <= 1.0
     assert abs(ratio - rho) <= 1e-8 * rho + 1e-12

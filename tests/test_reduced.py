@@ -112,7 +112,7 @@ def test_full_span_basis_reproduces_full_solve(ops, tg, m_field, grid, kind):
     else:
         full = solve_forward(ops, tg, f=np.zeros(grid.n_nodes), g=m_field)
     snaps = collect_snapshots(full, ops)
-    basis = compute_pod_basis(snaps, energy_tol=0.0)
+    basis = compute_pod_basis(snaps.snapshots, energy_tol=0.0, ops=ops)
     model = build_reduced_model(ops, basis, tg, kind)
     final, coeffs = reduced_solve(model, m_field)
     assert coeffs.shape == (tg.M + 1, basis.n_pod)

@@ -172,9 +172,9 @@ def test_blocked_products_on_a_trajectory_snapshot_set():
                          np.zeros(grid.n_nodes))
     snaps = collect_snapshots(traj, ops)
     Y = snaps.snapshots
-    assert np.array_equal(correlation_matrix(snaps), _reference_correlation(Y, ops.mass))
-    basis = compute_pod_basis(snaps, n_modes=9)
-    assert projection_error_ratio(snaps, basis) == _reference_projection_error(Y, basis)
+    assert np.array_equal(correlation_matrix(Y, ops), _reference_correlation(Y, ops.mass))
+    basis = compute_pod_basis(Y, n_modes=9, ops=ops)
+    assert projection_error_ratio(Y, basis) == _reference_projection_error(Y, basis)
 
 
 # ------------------------------------------------------------ memory

@@ -148,14 +148,6 @@ def test_verify_theory_builds_each_modal_problem_once(monkeypatch, capsys):
     assert len(calls) == 6                 # 2 kinds x levels 2, 4, 6
 
 
-def test_pod_bound_truncation_row_is_selected(grid, desk_ops):
-    report = verify_pod_bound("source", 4, 8, 1.0, _coeffs(4), grid,
-                              n_pod=2, ops=desk_ops)
-    assert report["n_pod"] == 2
-    assert report["lhs"] == report["table"][2]["lhs"]
-    assert report["rho"] == report["table"][2]["rho"]
-
-
 def test_bound_factor_by_kind(grid, desk_ops):
     src = verify_pod_bound("source", 3, 6, 1.0, _coeffs(3), grid, ops=desk_ops)
     assert src["bound_factor"] == 9.0

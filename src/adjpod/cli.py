@@ -20,10 +20,10 @@ import numpy as np
 
 from . import inversion, serialize
 from .experiment import (_CONFIG_KEYS, DEFAULT_T, EXAMPLE_LABELS, STUDY_SCALE,
-                         ExperimentConfig, StageError, _pod_size, build_problem,
-                         load_config, run_example, run_experiment)
+                         ExperimentConfig, StageError, _nonzero_shape, _pod_size,
+                         build_problem, load_config, run_example, run_experiment)
 from .reduced import build_adjoint_pod, drive
-from .shapes import list_shapes, make_shape
+from .shapes import list_shapes
 from .spectral import ProblemKind, SpectralCoefficients, distinct_mu_subset, mode_table
 from .verify import build_theory_matrices, pod_bound_report, verify_span_equality
 
@@ -73,9 +73,11 @@ def _grid_time_from(args) -> tuple:
     return build_problem(args.kind, nx, ny, args.T, m, args.q, args.c)
 
 
-def _field_from(spec: str, grid, what: str):
+def _field_from(spec: str, grid, flag: str, what: str):
     """A field argument is a shape name or a path to a field CSV; ``what``
-    names the field's role in the error raised for an unreadable file."""
+    names the field's role in the error raised for an unreadable file, and
+    ``flag`` the option in the error raised for a shape that is zero on
+    the grid."""
     if os.path.isfile(spec):
         try:
             file_grid, values = serialize.read_field_csv(spec)
@@ -86,7 +88,7 @@ def _field_from(spec: str, grid, what: str):
                 f"field file {spec!r} is {file_grid.nx}x{file_grid.ny} "
                 f"but the requested grid is {grid.nx}x{grid.ny}")
         return values
-    return make_shape(spec, grid)
+    return _nonzero_shape(flag, spec, grid)
 
 
 # --------------------------------------------------------------------------
@@ -95,7 +97,7 @@ def _field_from(spec: str, grid, what: str):
 
 def _cmd_forward(args) -> int:
     kind, grid, ops, tg = _grid_time_from(args)
-    data = _field_from(args.input, grid,
+    data = _field_from(args.input, grid, "--input",
                        "source term" if kind is ProblemKind.INVERSE_SOURCE
                        else "initial state")
     traj = drive(kind, data, ops, tg, steps=[tg.M])
@@ -121,7 +123,7 @@ def _cmd_forward(args) -> int:
 
 def _cmd_adjoint_pod(args) -> int:
     kind, grid, ops, tg = _grid_time_from(args)
-    data = _field_from(args.data, grid, "measurement field")
+    data = _field_from(args.data, grid, "--data", "measurement field")
     basis = build_adjoint_pod(kind, data, ops, tg, max_snapshots=args.max_snapshots,
                               **_pod_size(args.n_pod, args.energy))
     os.makedirs(args.out, exist_ok=True)

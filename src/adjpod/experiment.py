@@ -10,14 +10,14 @@ Work that does not depend on the measurement noise is done once per
 process: ``build_problem`` keeps the last few problems (grid, operators,
 time grid), ``fem`` keeps the time-step factorizations of the last few
 (operators, dt) pairs, and the truth stage (truth field, its final state,
-the inverse-crime basis, and once a run has asked for them the two
-fields' CSV texts and the final state's smoothness estimate) is kept for
-the most recent arguments, and so is the detector layout (its nodes,
-quasi-uniformity and ``measurements.csv`` template).  Each key holds every
-input of its result.  Both POD bases come from ``reduced``: the truth
-stage passes the truth's ``snapshot_set`` to ``build_traditional_pod``, and
-the basis stage calls ``build_adjoint_pod`` on the measured (or a foreign)
-field.
+the inverse-crime basis and the two fields' CSV texts, all built together)
+is kept for the most recent arguments, and so are the final state's
+smoothness estimate, once a noisy run with ``alpha = auto`` has asked for
+it, and the detector layout (its nodes, quasi-uniformity and
+``measurements.csv`` template).  Each key holds every input of its result.
+Both POD bases come from ``reduced``: the truth stage passes the truth's
+``snapshot_set`` to ``build_traditional_pod``, and the basis stage calls
+``build_adjoint_pod`` on the measured (or a foreign) field.
 """
 
 from __future__ import annotations
@@ -393,40 +393,23 @@ def _pod_size(n_pod: int, energy: Optional[float]) -> dict:
 class TruthStage:
     """What a run derives from the truth alone, the same for every noise
     level, seed, detector layout and inversion setting: the truth field,
-    its final state and the inverse-crime basis.
-
-    The CSV texts of the two fields and the smoothness estimate of the
-    final state are derived on first use and then kept with the entry, so
-    a run that needs none of them pays for none.
-    """
+    its final state, the inverse-crime basis and the texts of ``truth.csv``
+    and ``final_state.csv``."""
 
     field: np.ndarray
     final: np.ndarray
     traditional: PodBasis
-
-    @functools.cached_property
-    def field_csv(self) -> str:
-        """The text of ``truth.csv``."""
-        return serialize.field_csv(self.traditional.grid, self.field)
-
-    @functools.cached_property
-    def final_csv(self) -> str:
-        """The text of ``final_state.csv``."""
-        return serialize.field_csv(self.traditional.grid, self.final)
-
-    @functools.cached_property
-    def smoothness(self) -> float:
-        """H2-norm estimate of the final state, read by ``alpha = auto``."""
-        return inversion.h2_norm_estimate(self.traditional.grid, self.traditional.ops,
-                                          self.final)
+    field_csv: str
+    final_csv: str
 
 
-def _nonzero_shape(name: str, shape: str, grid: Grid2D) -> np.ndarray:
-    """``make_shape(shape, grid)`` for the config field ``name``; a shape
-    that is zero at every node of the grid fails naming the field's key."""
+def _nonzero_shape(label: str, shape: str, grid: Grid2D) -> np.ndarray:
+    """``make_shape(shape, grid)`` for the input named ``label`` (a config
+    key or a command-line flag); a shape that is zero at every node of the
+    grid fails naming the label, the shape and the grid."""
     values = make_shape(shape, grid)
     if not np.any(values):
-        raise ValueError(f"{_CONFIG_KEYS[name]}: shape {shape!r} is zero at every "
+        raise ValueError(f"{label}: shape {shape!r} is zero at every "
                          f"node of the {grid.nx}x{grid.ny} grid; refine the grid")
     return values
 
@@ -439,13 +422,14 @@ def _truth_stage(problem: tuple, truth: str, max_snapshots: int, n_pod: int,
 
     Kept for the most recent arguments; its arrays are read-only.  The
     forward solve is the truth's ``snapshot_set``, and of its snapshot
-    matrix only a copy of the final state outlives this call.  Failures are
+    matrix only a copy of the final state outlives this call; the two
+    fields' CSV texts are formatted here, once per truth.  Failures are
     tagged with the stage that raised; the time of a miss falls in the
     run's ``setup``.
     """
     kind, grid, ops, tg = problem
     with _stage("truth"):
-        field = _nonzero_shape("truth", truth, grid)
+        field = _nonzero_shape(_CONFIG_KEYS["truth"], truth, grid)
     with _stage("forward"):
         snapshots = snapshot_set(kind, field, ops, tg, max_snapshots)
         if ops.norm(snapshots.states[-1]) == 0.0:
@@ -455,7 +439,16 @@ def _truth_stage(problem: tuple, truth: str, max_snapshots: int, n_pod: int,
         traditional = build_traditional_pod(kind, snapshots, **_pod_size(n_pod, energy))
     final = snapshots.states[-1].copy()
     _read_only(field, final, traditional.psi, traditional.eigenvalues)
-    return TruthStage(field, final, traditional)
+    return TruthStage(field, final, traditional, serialize.field_csv(grid, field),
+                      serialize.field_csv(grid, final))
+
+
+@functools.lru_cache(maxsize=1)
+def _smoothness(truth_stage: TruthStage) -> float:
+    """H2-norm estimate of the truth's final state, read by ``alpha = auto``
+    on noisy data; kept for the most recent truth stage."""
+    basis = truth_stage.traditional
+    return inversion.h2_norm_estimate(basis.grid, basis.ops, truth_stage.final)
 
 
 @functools.lru_cache(maxsize=1)
@@ -519,7 +512,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
         else:
             if cfg.alpha == "auto":
                 alpha_used = inversion.select_alpha(ms.sigma, ms.n,
-                                                    truth_stage.smoothness)
+                                                    _smoothness(truth_stage))
             else:
                 alpha_used = float(cfg.alpha)
             m_field = inversion.denoise(ms, grid, alpha_used)
@@ -540,7 +533,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
             basis = traditional
         else:
             shape_name = cfg.basis.split(":", 1)[1]
-            driver = _nonzero_shape("basis", shape_name, grid)
+            driver = _nonzero_shape(_CONFIG_KEYS["basis"], shape_name, grid)
             basis = build_adjoint_pod(kind, driver, ops, tg,
                                       max_snapshots=cfg.max_snapshots,
                                       driver_label=f"foreign shape {shape_name!r}",

@@ -13,7 +13,6 @@ as a small dense matrix acting on basis coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -125,34 +124,22 @@ class ReducedModel:
     kind: ProblemKind
     a_r: np.ndarray     # reduced stiffness, a(psi_b, psi_a)
     m_r: np.ndarray     # reduced mass (identity up to orthonormality drift)
+    spectrum: tuple     # (w, Q): S = Q diag(w) Q^T, the final-time solution operator
 
     @property
     def n_pod(self) -> int:
         return self.basis.n_pod
 
-    @cached_property
-    def spectrum(self):
-        """Eigenpairs (w, Q) of the final-time solution operator S = Q diag(w) Q^T.
-
-        With B = (I + dt A_r)^{-1}: backward kind gives S = B^M; source kind
-        gives S = dt * sum_{k=1..M} B^k.  Both are functions of the symmetric
-        A_r, so Q holds its eigenvectors and w maps its eigenvalues; w > 0.
-        """
-        lams, Q = scipy.linalg.eigh(0.5 * (self.a_r + self.a_r.T))
-        dt = self.tg.dt
-        M = self.tg.M
-        decay = (1.0 + dt * lams) ** (-M)
-        if self.kind is ProblemKind.BACKWARD:
-            return decay, Q
-        # dt * sum_{k=1..M} b^k collapses to (1 - b^M) / lam, with the
-        # lam -> 0 limit dt * M
-        safe = np.where(lams == 0.0, 1.0, lams)
-        return np.where(lams == 0.0, dt * M, (1.0 - decay) / safe), Q
-
 
 def build_reduced_model(ops: DiscreteOperators, basis: PodBasis, tg: TimeGrid,
                         kind: ProblemKind) -> ReducedModel:
-    """Project mass and stiffness onto the basis; checks orthonormality."""
+    """Project mass and stiffness onto the basis; checks orthonormality.
+
+    The spectrum of the final-time solution operator S comes from the
+    symmetric A_r.  With B = (I + dt A_r)^{-1}: backward kind gives S = B^M;
+    source kind gives S = dt * sum_{k=1..M} B^k.  Both are functions of A_r,
+    so Q holds its eigenvectors and w maps its eigenvalues; w > 0.
+    """
     kind = ProblemKind.parse(kind)
     psi = basis.psi
     a_r = psi.T @ (ops.stiffness @ psi)
@@ -161,7 +148,15 @@ def build_reduced_model(ops: DiscreteOperators, basis: PodBasis, tg: TimeGrid,
     drift = np.max(np.abs(m_r - np.eye(basis.n_pod)))
     if drift > _ORTHO_TOL:
         raise ValueError(f"basis is not mass-orthonormal (drift {drift:.3e})")
-    return ReducedModel(basis=basis, tg=tg, kind=kind, a_r=a_r, m_r=m_r)
+    lams, Q = scipy.linalg.eigh(a_r)
+    dt, M = tg.dt, tg.M
+    w = (1.0 + dt * lams) ** (-M)
+    if kind is ProblemKind.INVERSE_SOURCE:
+        # dt * sum_{k=1..M} b^k collapses to (1 - b^M) / lam, with the
+        # lam -> 0 limit dt * M
+        safe = np.where(lams == 0.0, 1.0, lams)
+        w = np.where(lams == 0.0, dt * M, (1.0 - w) / safe)
+    return ReducedModel(basis=basis, tg=tg, kind=kind, a_r=a_r, m_r=m_r, spectrum=(w, Q))
 
 
 def reduced_solve(model: ReducedModel, input_values: np.ndarray):

@@ -86,6 +86,19 @@ def test_adjoint_pod_fixed_count_and_energy(tmp_path, capsys):
     assert read_json(out2 / "basis.json")["provenance"]["kind"] == "backward"
 
 
+@pytest.mark.parametrize("command,flag", [("forward", "--input"), ("adjoint-pod", "--data")])
+def test_a_field_shape_zero_on_the_grid_fails_naming_its_flag(tmp_path, capsys, command, flag):
+    """glyphA is zero at every node of a 5x5 grid: the command fails before
+    any solve, naming the option, the shape and the grid."""
+    out = tmp_path / "zero"
+    code = main([command, flag, "glyphA", "--nx", "5", "--ny", "5", "--M", "5",
+                 "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"{flag}: shape 'glyphA' is zero at every node of the 5x5 grid" in captured.err
+    assert "PASS" not in captured.out and not out.exists()
+
+
 def _write_measurements(tmp_path):
     grid = build_grid(17, 17)
     field = make_shape("sin1", grid)

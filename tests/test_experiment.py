@@ -191,7 +191,7 @@ def test_stage_error_carries_the_failing_stage(tmp_path):
     assert isinstance(err.value.original, ValueError)
 
 
-def test_an_unknown_foreign_shape_fails_in_the_basis_stage(tmp_path):
+def test_a_foreign_shape_zero_on_the_grid_fails_in_the_basis_stage(tmp_path):
     with pytest.raises(StageError) as err:
         run_experiment(_fast_config(basis="foreign:glyphA", nx=5, ny=5),
                        str(tmp_path / "boom"))

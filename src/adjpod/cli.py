@@ -21,7 +21,8 @@ import numpy as np
 from . import inversion, serialize
 from .experiment import (_CONFIG_KEYS, DEFAULT_T, EXAMPLE_LABELS, STUDY_SCALE,
                          ExperimentConfig, StageError, _nonzero_shape, _pod_size,
-                         build_problem, load_config, run_example, run_experiment)
+                         _parsed, build_problem, load_config, run_example,
+                         run_experiment)
 from .reduced import build_adjoint_pod, drive
 from .shapes import list_shapes
 from .spectral import ProblemKind, SpectralCoefficients, distinct_mu_subset, mode_table
@@ -156,9 +157,11 @@ def _cmd_denoise(args) -> int:
         pilot = inversion.denoise(ms, grid, 1e-6)
         smoothness = inversion.h2_norm_estimate(grid, ops, pilot)
         alpha = inversion.select_alpha(args.sigma, ms.n, smoothness)
-    else:
+    elif _parsed(float, args.alpha) is not None:
         alpha = float(args.alpha)
-    fitted = inversion.denoise(ms, grid, alpha)
+    else:
+        raise ValueError(f"--alpha takes 'auto' or a positive number, got {args.alpha!r}")
+    fitted = inversion.nonzero_denoise("--alpha", ms, ops, alpha)
     os.makedirs(args.out, exist_ok=True)
     serialize.write_field_csv(os.path.join(args.out, "denoised.csv"), grid, fitted)
     serialize.write_json(os.path.join(args.out, "denoise.json"), {

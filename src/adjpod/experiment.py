@@ -10,13 +10,15 @@ Work that does not depend on the measurement noise is done once per
 process: ``build_problem`` keeps the last few problems (grid, operators,
 time grid), ``fem`` keeps the time-step factorizations of the last few
 (operators, dt) pairs, and the truth stage (truth field, its final state,
-the inverse-crime basis and the two fields' CSV texts, all built together)
-is kept for the most recent arguments, and so are the final state's
-smoothness estimate, once a noisy run with ``alpha = auto`` has asked for
-it, and the detector layout (its nodes, quasi-uniformity and
-``measurements.csv`` template).  Each key holds every input of its result.
-Both POD bases come from ``reduced``: the truth stage passes the truth's
-``snapshot_set`` to ``build_traditional_pod``, and the basis stage calls
+the inverse-crime basis at full retained rank and the two fields' CSV
+texts, all built together) is kept for the most recent problem, truth and
+snapshot budget, so a study over n_pod or energy solves each truth once;
+so are the final state's smoothness estimate, once a noisy run with
+``alpha = auto`` has asked for it, and the detector layout (its nodes,
+quasi-uniformity and ``measurements.csv`` template).  Each key holds every
+input of its result.  Both POD bases come from ``reduced``: the truth stage
+passes the truth's ``snapshot_set`` to ``build_traditional_pod``, the basis
+stage sizes that basis with the run's selector and calls
 ``build_adjoint_pod`` on the measured (or a foreign) field.
 """
 
@@ -392,9 +394,9 @@ def _pod_size(n_pod: int, energy: Optional[float]) -> dict:
 @dataclass(frozen=True, eq=False)
 class TruthStage:
     """What a run derives from the truth alone, the same for every noise
-    level, seed, detector layout and inversion setting: the truth field,
-    its final state, the inverse-crime basis and the texts of ``truth.csv``
-    and ``final_state.csv``."""
+    level, seed, detector layout, basis size and inversion setting: the
+    truth field, its final state, the inverse-crime basis with every
+    retained mode and the texts of ``truth.csv`` and ``final_state.csv``."""
 
     field: np.ndarray
     final: np.ndarray
@@ -415,12 +417,12 @@ def _nonzero_shape(label: str, shape: str, grid: Grid2D) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _truth_stage(problem: tuple, truth: str, max_snapshots: int, n_pod: int,
-                 energy: Optional[float]) -> TruthStage:
+def _truth_stage(problem: tuple, truth: str, max_snapshots: int) -> TruthStage:
     """The ``TruthStage`` of the named truth on ``problem`` (the
     ``build_problem`` tuple).
 
-    Kept for the most recent arguments; its arrays are read-only.  The
+    Kept for the most recent arguments; its arrays are read-only.  No basis
+    size enters: a run sizes the basis it reads with ``PodBasis.size``.  The
     forward solve is the truth's ``snapshot_set``, and of its snapshot
     matrix only a copy of the final state outlives this call; the two
     fields' CSV texts are formatted here, once per truth.  Failures are
@@ -436,7 +438,8 @@ def _truth_stage(problem: tuple, truth: str, max_snapshots: int, n_pod: int,
             raise ValueError("the truth's final state underflows to zero: {c}, {q} or {T} "
                              "decay it too far".format(**_CONFIG_KEYS))
     with _stage("basis"):
-        traditional = build_traditional_pod(kind, snapshots, **_pod_size(n_pod, energy))
+        traditional = build_traditional_pod(kind, snapshots,
+                                            n_modes=snapshots.snapshots.shape[0])
     final = snapshots.states[-1].copy()
     _read_only(field, final, traditional.psi, traditional.eigenvalues)
     return TruthStage(field, final, traditional, serialize.field_csv(grid, field),
@@ -476,12 +479,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
     with _stage("setup", stage_s):
         problem = build_problem(cfg.kind, cfg.nx, cfg.ny, cfg.T, cfg.M, cfg.q, cfg.c)
         hits = _truth_stage.cache_info().hits
-        truth_stage = _truth_stage(problem, cfg.truth, cfg.max_snapshots, cfg.n_pod,
-                                   cfg.energy)
+        truth_stage = _truth_stage(problem, cfg.truth, cfg.max_snapshots)
         forward_reused = _truth_stage.cache_info().hits > hits
     kind, grid, ops, tg = problem
     truth, u_final = truth_stage.field, truth_stage.final
-    traditional = truth_stage.traditional
 
     with _stage("truth", stage_s):
         serialize.write_text(os.path.join(out, "truth.csv"), truth_stage.field_csv)
@@ -515,10 +516,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
                                                     _smoothness(truth_stage))
             else:
                 alpha_used = float(cfg.alpha)
-            m_field = inversion.denoise(ms, grid, alpha_used)
-            if ops.norm(m_field) == 0.0 and np.any(ms.readings):
-                raise ValueError(f"{_CONFIG_KEYS['alpha']}={alpha_used:.6g} smooths the "
-                                 f"readings to a zero field; lower it")
+            m_field = inversion.nonzero_denoise(_CONFIG_KEYS["alpha"], ms, ops, alpha_used)
             denoise_info["rel_l2_error_vs_clean_state"] = relative_l2_error(
                 ops, m_field, u_final)
             serialize.write_field_csv(os.path.join(out, "denoised.csv"), grid, m_field)
@@ -526,6 +524,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
 
     with _stage("basis", stage_s):
         selector = _pod_size(cfg.n_pod, cfg.energy)
+        full = truth_stage.traditional
+        traditional = full.truncated(full.size(**selector))
         if cfg.basis == "adjoint":
             basis = build_adjoint_pod(kind, m_field, ops, tg,
                                       max_snapshots=cfg.max_snapshots, **selector)
@@ -716,8 +716,7 @@ def _example_cross_basis(base, out_root):
 
     problem = build_problem(cfg.kind, cfg.nx, cfg.ny, cfg.T, cfg.M, cfg.q, cfg.c)
     kind, grid, ops, tg = problem
-    truth_stage = _truth_stage(problem, cfg.truth, cfg.max_snapshots, cfg.n_pod,
-                               cfg.energy)
+    truth_stage = _truth_stage(problem, cfg.truth, cfg.max_snapshots)
     truth, m = truth_stage.field, truth_stage.final     # m is zero on the boundary
 
     source_tg = TimeGrid(T=DEFAULT_T[ProblemKind.INVERSE_SOURCE], M=cfg.M)

@@ -78,8 +78,9 @@ def snap_detectors_to_nodes(grid: Grid2D, detectors: np.ndarray) -> np.ndarray:
     nearest = np.column_stack([grid.xs[jx], grid.ys[jy]])
     dist = np.linalg.norm(detectors - nearest, axis=1)
     if np.any(dist > _SNAP_TOL):
-        worst = detectors[int(np.argmax(dist))]
-        raise ValueError(f"detector {tuple(worst)} does not coincide with a grid node")
+        x, y = detectors[int(np.argmax(dist))]
+        raise ValueError(f"detector ({float(x)!r}, {float(y)!r}) does not coincide with "
+                         f"a grid node of the {grid.nx}x{grid.ny} grid")
     return jy * grid.nx + jx
 
 
@@ -121,6 +122,18 @@ def denoise(ms: MeasurementSet, grid: Grid2D, alpha: float) -> np.ndarray:
     u = np.zeros(grid.n_nodes)
     u[idx] = lu.solve((P.T @ ms.readings / ms.n)[idx])
     return u
+
+
+def nonzero_denoise(label: str, ms: MeasurementSet, ops: DiscreteOperators,
+                    alpha: float) -> np.ndarray:
+    """``denoise(ms, ops.grid, alpha)`` for the weight named ``label`` (a
+    config key or a command-line flag); a fit whose mass norm is zero while
+    some reading is not fails naming the label and alpha."""
+    fitted = denoise(ms, ops.grid, alpha)
+    if ops.norm(fitted) == 0.0 and np.any(ms.readings):
+        raise ValueError(f"{label}={alpha:.6g} smooths the readings to a zero field; "
+                         f"lower it")
+    return fitted
 
 
 # (nx, ny, detector node bytes) of the last call -> (alpha, P, LU of the
@@ -208,7 +221,15 @@ def _finite(values: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InverseConfig:
-    """Knobs of the reduced-space Tikhonov solve."""
+    """Knobs of the reduced-space Tikhonov solve.
+
+    The default stop test of gradient descent, 1e-10 * (||g_0|| + 1) with
+    g_0 the initial gradient, does not scale with the data.  Backward sin2
+    at 33 x 33, noise-free, truth scaled by 2^k: k = 0 reaches error
+    9.68e-5 after 1,662 iterations, k = -30 stops at 7.46e-2 after 3.  For
+    data far from unit scale, set ``grad_tol`` in the data's units or use
+    the direct solve.
+    """
 
     lam: float = 1e-10
     beta: Optional[float] = None          # step size; default 1/(s_max^2 + lam)

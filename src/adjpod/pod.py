@@ -69,14 +69,32 @@ class PodBasis:
         """Nodal field sum_k coeffs_k * psi_k."""
         return self.psi @ np.asarray(coeffs, dtype=float)
 
+    def size(self, n_modes: Optional[int] = None,
+             energy_tol: Optional[float] = None) -> int:
+        """Modes a basis-size selector keeps of this spectrum: exactly one of
+        ``n_modes`` (a fixed count, clipped to the retained rank) and
+        ``energy_tol`` (the fewest modes whose tail ratio is <= it)."""
+        if (n_modes is None) == (energy_tol is None):
+            raise ValueError("select the basis size with exactly one of n_modes / energy_tol")
+        if n_modes is not None:
+            if n_modes < 1:
+                raise ValueError("n_modes must be >= 1")
+            return min(n_modes, self.retained_rank)
+        if not (np.isfinite(energy_tol) and energy_tol >= 0):
+            raise ValueError(f"energy_tol must be finite and >= 0, got {energy_tol}")
+        tails = 1.0 - np.cumsum(self.eigenvalues) / self.eigenvalues.sum()
+        hits = np.flatnonzero(tails[:self.retained_rank] <= energy_tol)
+        return int(hits[0]) + 1 if hits.size else self.retained_rank
+
     def truncated(self, n: int) -> "PodBasis":
-        """Leading-n sub-basis with the tail ratio recomputed."""
+        """Leading-n sub-basis with the tail ratio recomputed; ``n`` is a
+        count in [1, n_pod], such as one ``size`` picks."""
         if not 1 <= n <= self.n_pod:
             raise ValueError(f"truncation count must lie in [1, {self.n_pod}]")
         return PodBasis(psi=self.psi[:, :n], eigenvalues=self.eigenvalues,
                         rho=_tail_ratio(self.eigenvalues, n), n_pod=n,
                         retained_rank=self.retained_rank, ops=self.ops,
-                        provenance=dict(self.provenance, truncated_from=self.n_pod))
+                        provenance=self.provenance)
 
 
 def snapshot_steps(M: int, max_snapshots: int = MAX_SNAPSHOTS) -> np.ndarray:
@@ -183,17 +201,9 @@ def compute_pod_basis(Y: np.ndarray, n_modes: Optional[int] = None,
                       provenance: Optional[dict] = None) -> PodBasis:
     """Method-of-snapshots basis of the snapshot matrix Y (one snapshot per row).
 
-    Exactly one of ``n_modes`` (fixed count, clipped to the retained rank)
-    and ``energy_tol`` (smallest count whose tail ratio is <= the
-    threshold) selects the basis size.
+    Every retained mode is formed; ``PodBasis.size(n_modes, energy_tol)``
+    picks how many of them the basis keeps.
     """
-    if (n_modes is None) == (energy_tol is None):
-        raise ValueError("select the basis size with exactly one of n_modes / energy_tol")
-    if n_modes is not None and n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    if energy_tol is not None and not (np.isfinite(energy_tol) and energy_tol >= 0):
-        raise ValueError(f"energy_tol must be finite and >= 0, got {energy_tol}")
-
     K = correlation_matrix(Y, ops)
     lams, vecs = scipy.linalg.eigh(K)
     order = np.argsort(lams)[::-1]
@@ -221,16 +231,9 @@ def compute_pod_basis(Y: np.ndarray, n_modes: Optional[int] = None,
         psi[:, a] = v / nrm
         mpsi[:, a] = mv / nrm
 
-    if n_modes is not None:
-        n_pod = min(n_modes, rank)
-    else:
-        tails = 1.0 - np.cumsum(lams) / lams.sum()
-        hits = np.flatnonzero(tails[:rank] <= energy_tol)
-        n_pod = int(hits[0]) + 1 if hits.size else rank
-
-    return PodBasis(psi=psi[:, :n_pod], eigenvalues=lams, rho=_tail_ratio(lams, n_pod),
-                    n_pod=n_pod, retained_rank=rank, ops=ops,
-                    provenance=provenance or {})
+    full = PodBasis(psi=psi, eigenvalues=lams, rho=_tail_ratio(lams, rank), n_pod=rank,
+                    retained_rank=rank, ops=ops, provenance=provenance or {})
+    return full.truncated(full.size(n_modes, energy_tol))
 
 
 def projection_error_ratio(Y: np.ndarray, basis: PodBasis):

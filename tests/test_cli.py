@@ -133,6 +133,25 @@ def test_denoise_auto_alpha_requires_sigma(tmp_path, capsys):
     assert read_json(out / "denoise.json")["alpha"] > 0
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--alpha", "1e300"], "FAIL  --alpha=1e+300 smooths the readings to a zero field"),
+    (["--alpha", "abc"], "FAIL  --alpha takes 'auto' or a positive number, got 'abc'"),
+    (["--alpha", "1e-6", "--nx", "13", "--ny", "13"], "of the 13x13 grid"),
+])
+def test_denoise_rejects_what_invert_rejects(tmp_path, capsys, flags, named):
+    """A weight that fits a zero field, a weight that is no number and a
+    detector off the grid each fail naming what is wrong."""
+    meas, _ = _write_measurements(tmp_path)
+    out = tmp_path / "dn"
+    code = main(["denoise", "--measurements", meas, "--nx", "17", "--ny", "17",
+                 "--out", str(out)] + flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert named in err
+    assert "np.float64" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_invert_with_config_and_overrides(tmp_path, capsys):
     ini = _small_ini(tmp_path)
     out = tmp_path / "inv"

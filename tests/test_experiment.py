@@ -201,6 +201,16 @@ def test_a_foreign_shape_zero_on_the_grid_fails_in_the_basis_stage(tmp_path):
     assert isinstance(err.value.original, ValueError)
 
 
+def test_an_alpha_that_smooths_the_readings_to_zero_fails_in_the_denoise_stage(tmp_path):
+    with pytest.raises(StageError) as err:
+        run_experiment(_fast_config(nx=9, ny=9, M=5, noise=0.1, alpha="1e300"),
+                       str(tmp_path / "boom"))
+    assert err.value.stage == "denoise"
+    assert "measurement.alpha=1e+300 smooths the readings to a zero field; lower it" in \
+        str(err.value)
+    assert isinstance(err.value.original, ValueError)
+
+
 def test_metrics_are_bit_reproducible_modulo_timings(tmp_path, artifact_tree):
     """The output directory is no input of a result: two runs that differ
     only in it write the same bytes, ``timings.json`` aside."""

@@ -4,9 +4,11 @@ the denoise memo.
 
 Correctness of the reuse rests on complete keys, so every input that
 changes a result must miss the memo, and a run on a warm memo must write
-what a cold process writes.  Cold runs happen in forks of a child process
-that has imported adjpod but run nothing, so each one starts with empty
-memos.
+what a cold process writes.  The truth-stage memo is keyed on the problem,
+the truth and the snapshot budget alone: a run that changes only the basis
+size (n_pod or energy) must hit it, so a study over basis sizes solves each
+truth once.  Cold runs happen in forks of a child process that has imported
+adjpod but run nothing, so each one starts with empty memos.
 """
 
 import json
@@ -40,9 +42,15 @@ CHANGES = {
     "M": dict(M=12),
     "truth": dict(truth="sin2"),
     "max_snapshots": dict(max_snapshots=9),
+}
+# one changed basis size per case; the truth stage reads none, so each must hit
+BASIS_SIZES = {
     "n_pod": dict(n_pod=4),
     "energy": dict(energy=1e-6),
 }
+# one truth over the basis sizes of a study, in the order they run
+SIZE_STUDY = {**{f"n_pod_{n}": replace(BASE, n_pod=n) for n in range(1, 10)},
+              "energy_1e-6": replace(BASE, energy=1e-6)}
 # a changed detector layout misses the layout memo but not the truth memo
 LAYOUT = replace(BASE, detectors="5x7")
 
@@ -67,8 +75,9 @@ _COLD_RUNNER = textwrap.dedent("""
 def cold(tmp_path_factory):
     """case -> output directory of the same config run on empty memos."""
     root = tmp_path_factory.mktemp("cold")
-    cases = {"base": BASE, "layout": LAYOUT,
-             **{name: replace(BASE, **change) for name, change in CHANGES.items()}}
+    cases = {"base": BASE, "layout": LAYOUT, **SIZE_STUDY,
+             **{name: replace(BASE, **change)
+                for name, change in {**CHANGES, **BASIS_SIZES}.items()}}
     jobs = [(asdict(cfg), str(root / name)) for name, cfg in cases.items()]
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     subprocess.run([sys.executable, "-c", _COLD_RUNNER], input=json.dumps(jobs),
@@ -112,6 +121,28 @@ def test_a_changed_input_misses_the_memo(case, cold, tmp_path, artifact_tree):
     assert artifact_tree(tmp_path / case) == artifact_tree(cold[case])
 
 
+@pytest.mark.parametrize("case", sorted(BASIS_SIZES))
+def test_a_changed_basis_size_hits_the_truth_memo(case, cold, tmp_path, artifact_tree):
+    run_experiment(BASE, str(tmp_path / "base"))
+    run_experiment(replace(BASE, **BASIS_SIZES[case]), str(tmp_path / case))
+    assert _timings(tmp_path / case)["forward_reused"] is True
+    assert artifact_tree(tmp_path / case) == artifact_tree(cold[case])
+
+
+def test_a_study_over_basis_sizes_solves_the_truth_once(cold, tmp_path, artifact_tree,
+                                                        monkeypatch):
+    solves = []
+    truth_solve = experiment.snapshot_set
+    monkeypatch.setattr(experiment, "snapshot_set", lambda *args: (
+        solves.append(args) or truth_solve(*args)))
+    experiment._truth_stage.cache_clear()
+    for i, (name, cfg) in enumerate(SIZE_STUDY.items()):
+        run_experiment(cfg, str(tmp_path / name))
+        assert _timings(tmp_path / name)["forward_reused"] is (i > 0), name
+        assert artifact_tree(tmp_path / name) == artifact_tree(cold[name]), name
+    assert len(solves) == 1
+
+
 def test_a_warm_run_writes_what_a_cold_process_writes(cold, tmp_path, artifact_tree):
     run_experiment(BASE, str(tmp_path / "first"))
     run_experiment(BASE, str(tmp_path / "warm"))
@@ -145,7 +176,7 @@ def test_arrays_held_by_the_truth_memo_are_read_only(tmp_path):
     hits = experiment._truth_stage.cache_info().hits
     stage = experiment._truth_stage(
         build_problem(BASE.kind, BASE.nx, BASE.ny, BASE.T, BASE.M, BASE.q, BASE.c),
-        BASE.truth, BASE.max_snapshots, BASE.n_pod, BASE.energy)
+        BASE.truth, BASE.max_snapshots)
     assert experiment._truth_stage.cache_info().hits == hits + 1
     for array in (stage.field, stage.final, stage.traditional.psi,
                   stage.traditional.eigenvalues):
@@ -186,7 +217,7 @@ def test_the_truth_memo_formats_its_fields_and_estimates_smoothness_once(
     assert len(estimates) == 1
     truth_stage = experiment._truth_stage(
         build_problem(cfg.kind, cfg.nx, cfg.ny, cfg.T, cfg.M, cfg.q, cfg.c),
-        cfg.truth, cfg.max_snapshots, cfg.n_pod, cfg.energy)
+        cfg.truth, cfg.max_snapshots)
     assert sum(values is truth_stage.field for values in formatted) == 1
     assert sum(values is truth_stage.final for values in formatted) == 1
     grid = truth_stage.traditional.grid

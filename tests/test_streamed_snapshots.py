@@ -325,5 +325,5 @@ def test_no_trajectory_buffer_besides_the_snapshot_matrix(monkeypatch, kind):
 
     experiment._truth_stage.cache_clear()
     peak = _peak_until_pod(monkeypatch,
-                           lambda: experiment._truth_stage(problem, "sin2exp", 201, 9, None))
+                           lambda: experiment._truth_stage(problem, "sin2exp", 201))
     assert peak <= 1.15 * matrix_bytes, (peak, matrix_bytes)

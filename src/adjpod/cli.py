@@ -157,10 +157,10 @@ def _cmd_denoise(args) -> int:
         pilot = inversion.denoise(ms, grid, 1e-6)
         smoothness = inversion.h2_norm_estimate(grid, ops, pilot)
         alpha = inversion.select_alpha(args.sigma, ms.n, smoothness)
-    elif _parsed(float, args.alpha) is not None:
-        alpha = float(args.alpha)
     else:
-        raise ValueError(f"--alpha takes 'auto' or a positive number, got {args.alpha!r}")
+        alpha = _parsed(float, args.alpha)
+        if alpha is None:
+            raise ValueError(f"--alpha takes 'auto' or a positive number, got {args.alpha!r}")
     fitted = inversion.nonzero_denoise("--alpha", ms, ops, alpha)
     os.makedirs(args.out, exist_ok=True)
     serialize.write_field_csv(os.path.join(args.out, "denoised.csv"), grid, fitted)

@@ -22,10 +22,10 @@ SEEDS = (1, 2, 3, 4, 5)
 SECONDS = 30
 
 
-def invoke(workload: str, seed: int, trace: int) -> dict:
+def invoke(workload: str, seed: int, trace: int, root: str = ROOT) -> dict:
     command = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(SECONDS), "--trace", str(trace)]
-    lines = subprocess.run(command, cwd=ROOT, check=True, capture_output=True,
+    lines = subprocess.run(command, cwd=root, check=True, capture_output=True,
                            text=True).stdout.splitlines()
     environment = next(line for line in lines if line.startswith("environment: "))
     return {"seed": seed, "trace": trace,

@@ -1,29 +1,28 @@
 """Compare the benchmark of this checkout with a parent revision in pairs.
 
-    python3 tools/bench_pairs.py <parent-rev> [--workload NAME ...] [--pairs N]
-                                 [--seed-base S]
+    python3 tools/bench_pairs.py <parent-rev>
 
 The parent's ``src``, ``perfbench`` and ``BENCHMARK.json`` are exported
 with ``git archive`` into a temporary directory (no worktree, nothing in
-``.git`` changes).  For each workload (default: every one BENCHMARK.json
-lists) it runs N pairs (default 10) of the unmodified ``perfbench/run.py
---trace 0 --seconds <run_seconds>``, one in each checkout, at seeds S..S+N-1,
+``.git`` changes).  For every workload BENCHMARK.json lists it runs PAIRS
+pairs of the unmodified ``perfbench/run.py --trace 0`` through
+``bench_capture.invoke``, one in each checkout, at seeds 1..PAIRS,
 alternating which side runs first.  For each end-to-end metric it prints
 both medians with their quartiles, the pairs the change won (a tie counts
 for neither side) and a verdict from ``verdict``.
 """
 
-import argparse
 import io
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from bench_capture import ROOT, invoke, summary
+
+PAIRS = 10
 
 
 def verdict(parent: list, change: list, better: str, bound: float) -> dict:
@@ -40,21 +39,20 @@ def verdict(parent: list, change: list, better: str, bound: float) -> dict:
       no change   otherwise.
     """
     sign = 1.0 if better == "higher" else -1.0
-    p1, p_median, p3 = statistics.quantiles(parent, n=4, method="inclusive")
-    c1, c_median, c3 = statistics.quantiles(change, n=4, method="inclusive")
-    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    margin = bound * abs(p_median)
-    separated = min(sign * c for c in change) > max(sign * p for p in parent)
-    if wins >= 0.9 * len(parent) and sign * (c_median - p_median) > p3 - p1:
+    p, c = summary(parent), summary(change)
+    wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
+    spread = p["q3"] - p["q1"]
+    margin = bound * abs(p["median"])
+    separated = min(sign * b for b in change) > max(sign * a for a in parent)
+    if wins >= 0.9 * len(parent) and sign * (c["median"] - p["median"]) > spread:
         name = "gain"
-    elif sign * (p_median - c_median) > margin:
+    elif sign * (p["median"] - c["median"]) > margin:
         name = "worse"
-    elif p3 - p1 > margin and not separated:
+    elif spread > margin and not separated:
         name = "unresolved"
     else:
         name = "no change"
-    return {"parent": (p1, p_median, p3), "change": (c1, c_median, c3),
-            "wins": wins, "pairs": len(parent), "verdict": name}
+    return {"parent": p, "change": c, "wins": wins, "verdict": name}
 
 
 def _export(rev: str, into: str) -> None:
@@ -64,37 +62,18 @@ def _export(rev: str, into: str) -> None:
         tar.extractall(into, filter="data")
 
 
-def _run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-               str(seed), "--seconds", str(seconds), "--trace", "0"]
-    lines = subprocess.run(command, cwd=checkout, check=True, capture_output=True,
-                           text=True).stdout.splitlines()
-    return json.loads(lines[-1])["metrics"]
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent_rev")
-    ap.add_argument("--workload", action="append", default=None)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed-base", type=int, default=1)
-    args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be >= 2, for the quartiles")
+def main(parent_rev: str) -> None:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         benchmark = json.load(fh)
-    workloads = args.workload or [entry["name"] for entry in benchmark["workloads"]]
     with tempfile.TemporaryDirectory() as parent_root:
-        _export(args.parent_rev, parent_root)
-        for workload in workloads:
+        _export(parent_rev, parent_root)
+        for workload in (entry["name"] for entry in benchmark["workloads"]):
             runs = {"parent": [], "change": []}
-            for i in range(args.pairs):
+            for seed in range(1, PAIRS + 1):
                 order = [("parent", parent_root), ("change", ROOT)]
-                for side, checkout in order[::-1] if i % 2 else order:
-                    runs[side].append(_run(checkout, workload, args.seed_base + i,
-                                           benchmark["run_seconds"]))
-            print(f"{workload} ({args.pairs} pairs, seeds {args.seed_base}.."
-                  f"{args.seed_base + args.pairs - 1})")
+                for side, checkout in order if seed % 2 else order[::-1]:
+                    runs[side].append(invoke(workload, seed, 0, checkout)["result"]["metrics"])
+            print(f"{workload} ({PAIRS} pairs, seeds 1..{PAIRS})")
             for entry in benchmark["end_to_end"]:
                 name = entry["name"]
                 parent, change = ([run[name]["value"] for run in runs[side]]
@@ -102,11 +81,12 @@ def main(argv=None) -> int:
                 v = verdict(parent, change, entry["better"], entry["bound"])
                 print("  {:<17} parent {:.6g} [{:.6g}, {:.6g}]  change {:.6g} "
                       "[{:.6g}, {:.6g}]  change won {}/{}  {}".format(
-                          name, v["parent"][1], v["parent"][0], v["parent"][2],
-                          v["change"][1], v["change"][0], v["change"][2],
-                          v["wins"], v["pairs"], v["verdict"]), flush=True)
-    return 0
+                          name, v["parent"]["median"], v["parent"]["q1"], v["parent"]["q3"],
+                          v["change"]["median"], v["change"]["q1"], v["change"]["q3"],
+                          v["wins"], PAIRS, v["verdict"]), flush=True)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    if len(sys.argv) != 2:
+        sys.exit("usage: python3 tools/bench_pairs.py <parent-rev>")
+    main(sys.argv[1])

@@ -159,7 +159,7 @@ def _cmd_denoise(args) -> int:
         alpha = inversion.select_alpha(args.sigma, ms.n, smoothness)
     else:
         alpha = _parsed(float, args.alpha)
-        if alpha is None:
+        if alpha is None or alpha <= 0:
             raise ValueError(f"--alpha takes 'auto' or a positive number, got {args.alpha!r}")
     fitted = inversion.nonzero_denoise("--alpha", ms, ops, alpha)
     os.makedirs(args.out, exist_ok=True)

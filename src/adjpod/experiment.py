@@ -526,18 +526,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
         selector = _pod_size(cfg.n_pod, cfg.energy)
         full = truth_stage.traditional
         traditional = full.truncated(full.size(**selector))
-        if cfg.basis == "adjoint":
-            basis = build_adjoint_pod(kind, m_field, ops, tg,
-                                      max_snapshots=cfg.max_snapshots, **selector)
-        elif cfg.basis == "traditional":
+        if cfg.basis == "traditional":
             basis = traditional
         else:
-            shape_name = cfg.basis.split(":", 1)[1]
-            driver = _nonzero_shape(_CONFIG_KEYS["basis"], shape_name, grid)
-            basis = build_adjoint_pod(kind, driver, ops, tg,
-                                      max_snapshots=cfg.max_snapshots,
-                                      driver_label=f"foreign shape {shape_name!r}",
-                                      **selector)
+            driver, label = m_field, "measured-data"
+            if cfg.basis != "adjoint":
+                shape_name = cfg.basis.split(":", 1)[1]
+                driver = _nonzero_shape(_CONFIG_KEYS["basis"], shape_name, grid)
+                label = f"foreign shape {shape_name!r}"
+            basis = build_adjoint_pod(kind, driver, ops, tg, max_snapshots=cfg.max_snapshots,
+                                      driver_label=label, **selector)
         serialize.write_pod_basis(out, basis)
         angles = principal_angles(basis, traditional)
 

@@ -17,7 +17,7 @@ only snapshot-sized array is the snapshot matrix itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -47,15 +47,24 @@ class SnapshotSet:
 
 @dataclass(frozen=True, eq=False)
 class PodBasis:
-    """Mass-orthonormal modes with the correlation spectrum they came from."""
+    """Mass-orthonormal modes with the correlation spectrum they came from;
+    ``n_pod`` and ``rho`` are read off the two.  A basis sized by an energy
+    tolerance reports a ``rho`` <= it unless it keeps every retained mode."""
 
     psi: np.ndarray             # (n_nodes, n_pod)
     eigenvalues: np.ndarray     # all correlation eigenvalues, non-increasing
-    rho: float                  # tail energy ratio beyond n_pod
-    n_pod: int
     retained_rank: int          # eigenvalues above the rank cutoff
     ops: DiscreteOperators
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def n_pod(self) -> int:
+        return self.psi.shape[1]
+
+    @property
+    def rho(self) -> float:
+        """Tail ratio beyond the n_pod kept modes, the sum ``size`` sizes by."""
+        return _tail_ratio(self.eigenvalues, self.n_pod)
 
     @property
     def grid(self):
@@ -71,9 +80,9 @@ class PodBasis:
 
     def size(self, n_modes: Optional[int] = None,
              energy_tol: Optional[float] = None) -> int:
-        """Modes a basis-size selector keeps of this spectrum: exactly one of
-        ``n_modes`` (a fixed count, clipped to the retained rank) and
-        ``energy_tol`` (the fewest modes whose tail ratio is <= it)."""
+        """Modes a basis-size selector keeps: exactly one of ``n_modes`` (a
+        count, clipped to the retained rank) and ``energy_tol`` (the fewest
+        modes, at most the retained rank, whose tail ratio ``rho`` is <= it)."""
         if (n_modes is None) == (energy_tol is None):
             raise ValueError("select the basis size with exactly one of n_modes / energy_tol")
         if n_modes is not None:
@@ -82,19 +91,14 @@ class PodBasis:
             return min(n_modes, self.retained_rank)
         if not (np.isfinite(energy_tol) and energy_tol >= 0):
             raise ValueError(f"energy_tol must be finite and >= 0, got {energy_tol}")
-        tails = 1.0 - np.cumsum(self.eigenvalues) / self.eigenvalues.sum()
-        hits = np.flatnonzero(tails[:self.retained_rank] <= energy_tol)
-        return int(hits[0]) + 1 if hits.size else self.retained_rank
+        return next((n for n in range(1, self.retained_rank)
+                     if _tail_ratio(self.eigenvalues, n) <= energy_tol), self.retained_rank)
 
     def truncated(self, n: int) -> "PodBasis":
-        """Leading-n sub-basis with the tail ratio recomputed; ``n`` is a
-        count in [1, n_pod], such as one ``size`` picks."""
+        """Leading-n sub-basis; ``n`` is a count in [1, n_pod], as ``size`` picks."""
         if not 1 <= n <= self.n_pod:
             raise ValueError(f"truncation count must lie in [1, {self.n_pod}]")
-        return PodBasis(psi=self.psi[:, :n], eigenvalues=self.eigenvalues,
-                        rho=_tail_ratio(self.eigenvalues, n), n_pod=n,
-                        retained_rank=self.retained_rank, ops=self.ops,
-                        provenance=self.provenance)
+        return replace(self, psi=self.psi[:, :n])
 
 
 def snapshot_steps(M: int, max_snapshots: int = MAX_SNAPSHOTS) -> np.ndarray:
@@ -190,10 +194,8 @@ def correlation_matrix(Y: np.ndarray, ops: DiscreteOperators) -> np.ndarray:
 
 
 def _tail_ratio(lams: np.ndarray, n: int) -> float:
-    total = float(lams.sum())
-    if total <= 0:
-        return 0.0
-    return float(max(lams[n:].sum() / total, 0.0))
+    """sum_{k > n} lambda_k / sum_k lambda_k of a non-negative spectrum with energy."""
+    return float(lams[n:].sum() / lams.sum())
 
 
 def compute_pod_basis(Y: np.ndarray, n_modes: Optional[int] = None,
@@ -201,8 +203,8 @@ def compute_pod_basis(Y: np.ndarray, n_modes: Optional[int] = None,
                       provenance: Optional[dict] = None) -> PodBasis:
     """Method-of-snapshots basis of the snapshot matrix Y (one snapshot per row).
 
-    Every retained mode is formed; ``PodBasis.size(n_modes, energy_tol)``
-    picks how many of them the basis keeps.
+    Every retained mode is formed; ``PodBasis.size`` keeps ``n_modes`` of them or,
+    by ``energy_tol``, the fewest (at most the retained rank) whose rho is <= it.
     """
     K = correlation_matrix(Y, ops)
     lams, vecs = scipy.linalg.eigh(K)
@@ -231,8 +233,8 @@ def compute_pod_basis(Y: np.ndarray, n_modes: Optional[int] = None,
         psi[:, a] = v / nrm
         mpsi[:, a] = mv / nrm
 
-    full = PodBasis(psi=psi, eigenvalues=lams, rho=_tail_ratio(lams, rank), n_pod=rank,
-                    retained_rank=rank, ops=ops, provenance=provenance or {})
+    full = PodBasis(psi=psi, eigenvalues=lams, retained_rank=rank, ops=ops,
+                    provenance=provenance or {})
     return full.truncated(full.size(n_modes, energy_tol))
 
 

@@ -137,10 +137,12 @@ def test_denoise_auto_alpha_requires_sigma(tmp_path, capsys):
     (["--alpha", "1e300"], "FAIL  --alpha=1e+300 smooths the readings to a zero field"),
     (["--alpha", "abc"], "FAIL  --alpha takes 'auto' or a positive number, got 'abc'"),
     (["--alpha", "1e-6", "--nx", "13", "--ny", "13"], "of the 13x13 grid"),
+    (["--alpha", "-1"], "FAIL  --alpha takes 'auto' or a positive number, got '-1'"),
+    (["--alpha", "0"], "FAIL  --alpha takes 'auto' or a positive number, got '0'"),
 ])
 def test_denoise_rejects_what_invert_rejects(tmp_path, capsys, flags, named):
-    """A weight that fits a zero field, a weight that is no number and a
-    detector off the grid each fail naming what is wrong."""
+    """A weight that fits a zero field, a weight that is no positive number
+    and a detector off the grid each fail naming what is wrong."""
     meas, _ = _write_measurements(tmp_path)
     out = tmp_path / "dn"
     code = main(["denoise", "--measurements", meas, "--nx", "17", "--ny", "17",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from adjpod import (CoefficientSet, TimeGrid, assemble_operators, build_grid,
+from adjpod import (CoefficientSet, PodBasis, TimeGrid, assemble_operators, build_grid,
                     collect_snapshots, compute_pod_basis, correlation_matrix,
                     principal_angles, projection_error_ratio, solve_forward)
 
@@ -92,6 +92,33 @@ def test_energy_selector_matches_tail_ratio(ops, grid, rng):
     if basis.n_pod > 1:
         assert lams[basis.n_pod - 1:].sum() / lams.sum() > 1e-2
     np.testing.assert_allclose(basis.rho, tail, rtol=1e-12, atol=1e-15)
+
+
+def _random_spectrum(rng):
+    """A non-increasing spectrum over up to 16 decades, with ties and zeros."""
+    lams = np.sort(10.0 ** rng.uniform(-16.0, 0.0, int(rng.integers(1, 41))))[::-1]
+    if rng.random() < 0.3:
+        lams = np.round(lams, int(rng.integers(1, 8)))   # ties; zeros in the tail
+    return lams if lams[0] > 0 else lams + 1.0
+
+
+def test_energy_size_is_the_fewest_modes_whose_rho_obeys_it(ops, grid):
+    """Over seeded random spectra and tolerances 10^U(-15, -1), sizing by
+    ``energy_tol`` keeps the fewest modes, at most the retained rank, whose
+    truncated basis reports rho <= the tolerance; below the retained rank
+    the sized basis's reported rho obeys the tolerance."""
+    rng = np.random.default_rng(28)
+    for _ in range(2000):
+        lams = _random_spectrum(rng)
+        rank = int(rng.integers(1, lams.size + 1))
+        full = PodBasis(psi=np.zeros((grid.n_nodes, rank)), eigenvalues=lams,
+                        retained_rank=rank, ops=ops)
+        tol = 10.0 ** rng.uniform(-15.0, -1.0)
+        n = full.size(energy_tol=tol)
+        fits = [k for k in range(1, rank + 1) if full.truncated(k).rho <= tol]
+        assert n == (fits[0] if fits else rank), (lams, rank, tol)
+        if n < rank:
+            assert full.truncated(n).rho <= tol
 
 
 def test_selector_arguments_are_exclusive(ops, grid, rng):

@@ -1,9 +1,11 @@
 """Data-driven basis construction and the reduced Galerkin propagator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from adjpod import (CoefficientSet, PodBasis, ProblemKind, TimeGrid,
+from adjpod import (CoefficientSet, ProblemKind, TimeGrid,
                     assemble_operators, build_adjoint_pod, build_grid,
                     build_reduced_model, build_traditional_pod,
                     collect_snapshots, compute_pod_basis, drive, reduced_solve,
@@ -86,9 +88,7 @@ def test_reduced_operator_blocks(ops, tg, m_field):
 
 def test_reduced_model_rejects_unnormalized_basis(ops, tg, m_field):
     basis = build_adjoint_pod("source", m_field, ops, tg, n_modes=3)
-    broken = PodBasis(psi=2.0 * basis.psi, eigenvalues=basis.eigenvalues,
-                      rho=basis.rho, n_pod=basis.n_pod,
-                      retained_rank=basis.retained_rank, ops=basis.ops)
+    broken = dataclasses.replace(basis, psi=2.0 * basis.psi)
     with pytest.raises(ValueError, match="orthonormal"):
         build_reduced_model(ops, broken, tg, "source")
 

@@ -582,6 +582,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
                 "iterations": iterations,
                 "final_objective": inversion.tikhonov_objective(model, f_r, m_r, lam),
                 "rel_l2_error": relative_l2_error(ops, recovered, truth),
+                "rel_l2_basis_floor": relative_l2_error(
+                    ops, basis.expand(basis.coefficients(truth)), truth),
                 "rel_hminus1_surrogate_error": hminus1_surrogate_error(
                     ops, recovered, truth),
                 "error_norm_note": "hminus1 surrogate weights modal coefficients "

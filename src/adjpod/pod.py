@@ -261,11 +261,11 @@ def principal_angles(a: PodBasis, b: PodBasis) -> np.ndarray:
     """Principal angles (radians, non-decreasing) between the two spans.
 
     Both bases are mass-orthonormal by construction, so the cosines are
-    the singular values of Psi_a^T M Psi_b.
+    the singular values of Psi_a^T M Psi_b, the coefficients of b's modes in a.
     """
     if a.grid.n_nodes != b.grid.n_nodes:
         raise ValueError("bases live on different grids")
-    G = a.psi.T @ (a.ops.mass @ b.psi)
+    G = a.coefficients(b.psi)
     s = scipy.linalg.svd(G, compute_uv=False)
     s = np.clip(s, 0.0, 1.0)
     return np.sort(np.arccos(s))

@@ -23,7 +23,7 @@ from .pod import (MAX_SNAPSHOTS, PodBasis, SnapshotSet, collect_snapshots,
                   compute_pod_basis, snapshot_steps)
 from .spectral import ProblemKind
 
-_ORTHO_TOL = 1e-10
+ORTHO_TOL = 1e-10  # largest entry of |Psi^T M Psi - I| a mass-orthonormal basis may show
 
 
 def drive(kind: ProblemKind, field: np.ndarray, ops: DiscreteOperators,
@@ -144,9 +144,9 @@ def build_reduced_model(ops: DiscreteOperators, basis: PodBasis, tg: TimeGrid,
     psi = basis.psi
     a_r = psi.T @ (ops.stiffness @ psi)
     a_r = 0.5 * (a_r + a_r.T)
-    m_r = psi.T @ (ops.mass @ psi)
+    m_r = basis.coefficients(psi)
     drift = np.max(np.abs(m_r - np.eye(basis.n_pod)))
-    if drift > _ORTHO_TOL:
+    if drift > ORTHO_TOL:
         raise ValueError(f"basis is not mass-orthonormal (drift {drift:.3e})")
     lams, Q = scipy.linalg.eigh(a_r)
     dt, M = tg.dt, tg.M

@@ -94,8 +94,7 @@ def read_field_csv(path) -> Tuple[Grid2D, np.ndarray]:
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with open(path, "w") as fh:
-        fh.write(_table(matrix) + "\n")
+    write_text(path, _table(matrix) + "\n")
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -118,9 +117,7 @@ def write_json(path, payload: dict) -> None:
     """Write ``payload`` as indented JSON in one ``write``; ``json.dump``
     with an indent makes one call per token.  The text is encoded before
     the file is opened, so a payload that cannot be encoded leaves no file."""
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_leaf) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True, default=_json_leaf) + "\n")
 
 
 def read_json(path) -> dict:

@@ -53,3 +53,17 @@ def test_ties_count_for_neither_side():
     assert result["wins"] == 5
     assert result["verdict"] == "no change"
     assert _verdict(list(PARENT))["wins"] == 0
+
+
+def test_identical_runs_tie_every_pair():
+    result = _verdict(list(PARENT))
+    assert (result["wins"], result["losses"], result["ties"]) == (0, 0, 10)
+    assert result["verdict"] == "no change"
+
+
+def test_a_lost_pair_and_a_tied_pair_are_told_apart():
+    won_rest = [p - 0.01 for p in PARENT[1:]]
+    lost = _verdict([PARENT[0] + 0.01] + won_rest)
+    tied = _verdict([PARENT[0]] + won_rest)
+    assert (lost["wins"], lost["losses"], lost["ties"]) == (9, 1, 0)
+    assert (tied["wins"], tied["losses"], tied["ties"]) == (9, 0, 1)

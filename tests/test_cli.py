@@ -172,8 +172,9 @@ def test_invert_reports_failing_stage(tmp_path, capsys):
     code = main(["invert", "--config", ini, "--set", "grid.nx=5", "--set", "grid.ny=5",
                  "--out", str(tmp_path / "bad")])
     assert code == 1
-    stdout = capsys.readouterr().out
-    assert "FAIL" in stdout and "stage 'truth'" in stdout
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    assert "FAIL" in text and "stage 'truth'" in text
 
 
 def test_invert_reads_a_percent_sign_literally(tmp_path):

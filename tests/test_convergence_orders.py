@@ -13,6 +13,10 @@ converges in space at order 2 (Thomee, Galerkin Finite Element Methods for
 Parabolic Problems, 2006); against the semi-discrete solution the
 backward-Euler final state converges in time at order 1, for variable
 coefficients too.
+
+On noise-free data the reduced model's final state approaches the full
+one as the adjoint basis grows: over the first four modes the gap falls
+with every mode, as the basis tail ratio rho does.
 """
 
 import functools
@@ -21,8 +25,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from adjpod import (ProblemKind, SpectralCoefficients, build_problem, drive, make_shape,
-                    spectral_solution)
+from adjpod import (ExperimentConfig, ProblemKind, SpectralCoefficients, build_problem,
+                    drive, make_shape, run_experiment, spectral_solution)
 
 SIDES = (9, 17, 33)             # h halves from one grid to the next
 STEPS = (25, 50, 100, 200)      # dt halves likewise
@@ -83,3 +87,16 @@ def test_backward_euler_converges_at_order_one_in_time(name, q, c, shape):
         errors.append(ops.norm(u - reference) / ops.norm(reference))
     assert np.all(np.diff(errors) < 0), errors
     assert abs(_order(errors) - 1.0) <= 0.1, errors
+
+
+@pytest.mark.parametrize("name", ["source", "backward"])
+@pytest.mark.parametrize("shape", ["sin2", "sin2exp"])
+def test_the_reduced_final_state_gap_falls_with_the_basis_tail(tmp_path, name, shape):
+    gaps, rhos = [], []
+    for n_pod in (1, 2, 3, 4):
+        cfg = ExperimentConfig(kind=name, truth=shape, nx=17, ny=17, M=50, n_pod=n_pod)
+        metrics = run_experiment(cfg, str(tmp_path))
+        gaps.append(metrics["reduced_vs_full"]["rel_l2_final_state_gap"])
+        rhos.append(metrics["basis"]["rho"])
+    assert np.all(np.diff(rhos) < 0), rhos
+    assert np.all(np.diff(gaps) < 0), (gaps, rhos)

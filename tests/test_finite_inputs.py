@@ -96,7 +96,8 @@ def test_cli_invert_names_a_non_finite_problem_value(tmp_path, capsys, override,
     code = main(["invert", "--set", "grid.nx=9", "--set", "grid.ny=9",
                  "--set", "time.m=5", "--set", override, "--out", str(tmp_path)])
     assert code == 1
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    out = captured.out + captured.err
     assert named in out and "internal error" not in out
 
 
@@ -318,7 +319,8 @@ def test_cli_invert_names_an_overflowing_alpha(tmp_path, capsys):
                  "--set", "time.m=5", "--set", "measurement.noise=0.1",
                  "--set", "measurement.alpha=1e308", "--out", str(tmp_path)])
     assert code == 1
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    out = captured.out + captured.err
     # rejected when the config is loaded, before any stage runs
     assert "measurement.alpha: " in out and "overflows" in out and "stage" not in out
     assert "internal error" not in out

@@ -8,8 +8,9 @@ with ``git archive`` into a temporary directory (no worktree, nothing in
 pairs of the unmodified ``perfbench/run.py --trace 0`` through
 ``bench_capture.invoke``, one in each checkout, at seeds 1..PAIRS,
 alternating which side runs first.  For each end-to-end metric it prints
-both medians with their quartiles, the pairs the change won (a tie counts
-for neither side) and a verdict from ``verdict``.
+both medians with their quartiles, the pairs the change won, lost and tied
+(a tie, an equal value on both sides, counts for neither) and a verdict
+from ``verdict``.
 """
 
 import io
@@ -40,7 +41,8 @@ def verdict(parent: list, change: list, better: str, bound: float) -> dict:
     """
     sign = 1.0 if better == "higher" else -1.0
     p, c = summary(parent), summary(change)
-    wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
+    gains = [sign * (b - a) for a, b in zip(parent, change)]
+    wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
     spread = p["q3"] - p["q1"]
     margin = bound * abs(p["median"])
     separated = min(sign * b for b in change) > max(sign * a for a in parent)
@@ -52,7 +54,8 @@ def verdict(parent: list, change: list, better: str, bound: float) -> dict:
         name = "unresolved"
     else:
         name = "no change"
-    return {"parent": p, "change": c, "wins": wins, "verdict": name}
+    return {"parent": p, "change": c, "wins": wins, "losses": losses,
+            "ties": len(parent) - wins - losses, "verdict": name}
 
 
 def _export(rev: str, into: str) -> None:
@@ -80,10 +83,11 @@ def main(parent_rev: str) -> None:
                                   for side in ("parent", "change"))
                 v = verdict(parent, change, entry["better"], entry["bound"])
                 print("  {:<17} parent {:.6g} [{:.6g}, {:.6g}]  change {:.6g} "
-                      "[{:.6g}, {:.6g}]  change won {}/{}  {}".format(
+                      "[{:.6g}, {:.6g}]  won {}, lost {}, tied {} of {}  {}".format(
                           name, v["parent"]["median"], v["parent"]["q1"], v["parent"]["q3"],
                           v["change"]["median"], v["change"]["q1"], v["change"]["q3"],
-                          v["wins"], PAIRS, v["verdict"]), flush=True)
+                          v["wins"], v["losses"], v["ties"], PAIRS, v["verdict"]),
+                      flush=True)
 
 
 if __name__ == "__main__":

@@ -11,11 +11,11 @@ process: ``build_problem`` keeps the last few problems (grid, operators,
 time grid), ``fem`` keeps the time-step factorizations of the last few
 (operators, dt) pairs, and the truth stage (truth field, its final state,
 the inverse-crime basis at full retained rank and the two fields' CSV
-texts, all built together) is kept for the most recent problem, truth and
-snapshot budget, so a study over n_pod or energy solves each truth once;
-so are the final state's smoothness estimate, once a noisy run with
-``alpha = auto`` has asked for it, and the detector layout (its nodes,
-quasi-uniformity and ``measurements.csv`` template).  Each key holds every
+texts, all built together, and the final state's smoothness estimate once
+a noisy run with ``alpha = auto`` reads it) is kept for the most recent
+problem, truth and snapshot budget, so a study over n_pod or energy solves
+each truth once; so is the detector layout (its nodes, quasi-uniformity
+and ``measurements.csv`` template).  Each key holds every
 input of its result.  Both POD bases come from ``reduced``: the truth stage
 passes the truth's ``snapshot_set`` to ``build_traditional_pod``, the basis
 stage sizes that basis with the run's selector and calls
@@ -396,13 +396,21 @@ class TruthStage:
     """What a run derives from the truth alone, the same for every noise
     level, seed, detector layout, basis size and inversion setting: the
     truth field, its final state, the inverse-crime basis with every
-    retained mode and the texts of ``truth.csv`` and ``final_state.csv``."""
+    retained mode, the texts of ``truth.csv`` and ``final_state.csv`` and
+    the final state's smoothness estimate."""
 
     field: np.ndarray
     final: np.ndarray
     traditional: PodBasis
     field_csv: str
     final_csv: str
+
+    @functools.cached_property
+    def smoothness(self) -> float:
+        """H2-norm estimate of the final state, read by noisy runs with
+        ``alpha = auto``; computed on first read."""
+        return inversion.h2_norm_estimate(self.traditional.grid, self.traditional.ops,
+                                          self.final)
 
 
 def _nonzero_shape(label: str, shape: str, grid: Grid2D) -> np.ndarray:
@@ -438,20 +446,11 @@ def _truth_stage(problem: tuple, truth: str, max_snapshots: int) -> TruthStage:
             raise ValueError("the truth's final state underflows to zero: {c}, {q} or {T} "
                              "decay it too far".format(**_CONFIG_KEYS))
     with _stage("basis"):
-        traditional = build_traditional_pod(kind, snapshots,
-                                            n_modes=snapshots.snapshots.shape[0])
+        traditional = build_traditional_pod(kind, snapshots, energy_tol=0.0)
     final = snapshots.states[-1].copy()
     _read_only(field, final, traditional.psi, traditional.eigenvalues)
     return TruthStage(field, final, traditional, serialize.field_csv(grid, field),
                       serialize.field_csv(grid, final))
-
-
-@functools.lru_cache(maxsize=1)
-def _smoothness(truth_stage: TruthStage) -> float:
-    """H2-norm estimate of the truth's final state, read by ``alpha = auto``
-    on noisy data; kept for the most recent truth stage."""
-    basis = truth_stage.traditional
-    return inversion.h2_norm_estimate(basis.grid, basis.ops, truth_stage.final)
 
 
 @functools.lru_cache(maxsize=1)
@@ -512,8 +511,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
             alpha_used = None
         else:
             if cfg.alpha == "auto":
-                alpha_used = inversion.select_alpha(ms.sigma, ms.n,
-                                                    _smoothness(truth_stage))
+                alpha_used = inversion.select_alpha(ms.sigma, ms.n, truth_stage.smoothness)
             else:
                 alpha_used = float(cfg.alpha)
             m_field = inversion.nonzero_denoise(_CONFIG_KEYS["alpha"], ms, ops, alpha_used)

@@ -1,13 +1,14 @@
 """Measurement-driven POD pipeline and the reduced Galerkin propagator.
 
-The basis is built from an auxiliary full-order parabolic solve that is
-driven only by the measured final-time data m — with m as the right-hand
-side (source recovery) or as the initial state (backward recovery) — so
-no knowledge of the unknown truth leaks into the basis.  ``snapshot_set``
-runs such a solve for any driving field, the truth included (the
-inverse-crime baseline), and is the one place that lays out the snapshot
-matrix.  The reduced model then realizes the final-time solution operator
-as a small dense matrix acting on basis coefficients.
+The basis is built from an auxiliary full-order parabolic solve driven by
+the measured final-time data m, as the right-hand side (source recovery)
+or the initial state (backward recovery).  The truth reaches the basis only
+through m: as a noise-free run's clean final state, or through the denoise
+weight that ``alpha = auto`` takes from the truth's smoothness.
+``snapshot_set`` runs such a solve for any driving field, the truth
+included (the inverse-crime baseline), and is the one place that lays out
+the snapshot matrix.  The reduced model then realizes the final-time
+solution operator as a small dense matrix acting on basis coefficients.
 """
 
 from __future__ import annotations

@@ -1,6 +1,11 @@
 """Shared fixtures for the test suite."""
 
+import os
 from pathlib import Path
+
+# One BLAS thread, as perfbench runs; set before numpy loads its BLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 import pytest

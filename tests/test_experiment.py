@@ -232,6 +232,26 @@ def test_run_example_label_validation(tmp_path):
         run_example("9.9", str(tmp_path))
 
 
+IMPORTANCE_CHECKS = ("adjoint-basis recovery error within tolerance",
+                     "sin1-driven foreign basis at least 5x worse")
+COMPARISON_CHECKS = ("adjoint-basis recovery error within tolerance",
+                     "inverse-crime baseline recovery error within tolerance",
+                     "glyph-truth recoveries are finite")
+PRESET_CHECKS = {
+    "4.1": IMPORTANCE_CHECKS,
+    "4.2": COMPARISON_CHECKS + ("largest principal angle vs traditional basis is small",),
+    "4.4": IMPORTANCE_CHECKS,
+    "4.5": COMPARISON_CHECKS,     # backward angles are reported, not asserted
+}
+
+
+@pytest.mark.parametrize("label", sorted(PRESET_CHECKS))
+def test_basis_importance_and_comparison_presets_pass(label, tmp_path):
+    summary = run_example(label, str(tmp_path / label), ExperimentConfig())
+    assert tuple(check["name"] for check in summary["checks"]) == PRESET_CHECKS[label]
+    assert summary["passed"] is True
+
+
 def test_run_example_cross_basis_preset(tmp_path):
     summary = run_example("4.7", str(tmp_path / "xbasis"))
     assert summary["label"] == "4.7"

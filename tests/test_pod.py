@@ -127,11 +127,24 @@ def test_selector_arguments_are_exclusive(ops, grid, rng):
         compute_pod_basis(snaps, ops=ops)
     with pytest.raises(ValueError):
         compute_pod_basis(snaps, n_modes=2, energy_tol=0.5, ops=ops)
+    with pytest.raises(ValueError, match="n_modes must be >= 1"):
+        compute_pod_basis(snaps, n_modes=0, ops=ops)
 
 
-def test_zero_snapshots_rejected(ops, grid):
+def test_zero_snapshots_rejected(ops, grid, rng):
     with pytest.raises(ValueError):
         compute_pod_basis(np.zeros((3, grid.n_nodes)), n_modes=1, ops=ops)
+    basis = compute_pod_basis(_random_snapshots(rng, grid, 3), n_modes=1, ops=ops)
+    with pytest.raises(ValueError, match="snapshot set carries no energy"):
+        projection_error_ratio(np.zeros((3, grid.n_nodes)), basis)
+
+
+def test_principal_angles_reject_bases_on_different_grids(ops, grid, rng):
+    other = assemble_operators(build_grid(9, 9), CoefficientSet(q=1.0, c=0.0))
+    a = compute_pod_basis(_random_snapshots(rng, grid, 3), n_modes=2, ops=ops)
+    b = compute_pod_basis(_random_snapshots(rng, other.grid, 3), n_modes=2, ops=other)
+    with pytest.raises(ValueError, match="bases live on different grids"):
+        principal_angles(a, b)
 
 
 def test_projection_identity_random_sets(ops, grid, rng):

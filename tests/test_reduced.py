@@ -70,6 +70,16 @@ def test_data_driven_basis_rejects_zero_data(ops, tg, grid):
         build_adjoint_pod("source", np.zeros(grid.n_nodes), ops, tg, n_modes=2)
 
 
+@pytest.mark.parametrize("kind,what", [("source", "source term"),
+                                       ("backward", "initial state")])
+def test_a_field_of_the_wrong_length_is_rejected(ops, tg, grid, kind, what):
+    short = np.ones(grid.n_nodes - 1)
+    with pytest.raises(ValueError, match=f"^{what} length does not match node count$"):
+        drive(kind, short, ops, tg)
+    with pytest.raises(ValueError, match="^measurement field length does not match"):
+        build_adjoint_pod(kind, short, ops, tg, n_modes=2)
+
+
 def test_truth_driven_basis_is_flagged_as_inverse_crime(ops, tg, m_field):
     basis = build_traditional_pod("source", snapshot_set("source", m_field, ops, tg),
                                   n_modes=3)

@@ -11,11 +11,13 @@ truth once.  Cold runs happen in forks of a child process that has imported
 adjpod but run nothing, so each one starts with empty memos.
 """
 
+import gc
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -99,18 +101,19 @@ def _timings(path) -> dict:
     return read_json(path / "timings.json")
 
 
-@pytest.mark.parametrize("case", [*REPEATS, "preset_4.7"])
+@pytest.mark.parametrize("case", [*REPEATS, *(f"preset_{label}" for label in
+                                              ("4.1", "4.2", "4.4", "4.5", "4.7"))])
 def test_two_runs_of_one_config_write_the_same_tree(case, tmp_path, artifact_tree):
     for side in ("a", "b"):
         if case in REPEATS:
             run_experiment(REPEATS[case], str(tmp_path / side))
         else:
-            run_example("4.7", str(tmp_path / side), BASE)
+            run_example(case.removeprefix("preset_"), str(tmp_path / side), BASE)
     assert artifact_tree(tmp_path / "a") == artifact_tree(tmp_path / "b")
-    timings = list(tmp_path.rglob("timings.json"))
-    assert len(timings) == 2
-    for path in timings:
-        assert set(read_json(path)) == {"forward_reused", "stage_s"}
+    runs = sorted(path.parent for path in tmp_path.rglob("metrics.json"))
+    assert runs and sorted(path.parent for path in tmp_path.rglob("timings.json")) == runs
+    for run in runs:
+        assert set(_timings(run)) == {"forward_reused", "stage_s"}
 
 
 @pytest.mark.parametrize("case", sorted(CHANGES))
@@ -189,6 +192,19 @@ def test_the_truth_memo_keeps_one_entry(tmp_path):
     for i, truth in enumerate(("sin1", "sin2", "glyphA")):
         run_experiment(replace(BASE, truth=truth), str(tmp_path / str(i)))
         assert experiment._truth_stage.cache_info().currsize == 1
+
+
+def test_a_truth_stage_the_memo_drops_is_freed(tmp_path):
+    """The smoothness estimate lives on its truth stage, so nothing holds a
+    stage once the truth memo has moved on to another truth."""
+    run_experiment(BASE, str(tmp_path / "auto"))     # noisy, alpha = auto
+    stage = weakref.ref(experiment._truth_stage(
+        build_problem(BASE.kind, BASE.nx, BASE.ny, BASE.T, BASE.M, BASE.q, BASE.c),
+        BASE.truth, BASE.max_snapshots))
+    assert "smoothness" in vars(stage())
+    run_experiment(replace(BASE, truth="sin1", noise=0.0), str(tmp_path / "clean"))
+    gc.collect()
+    assert stage() is None
 
 
 def test_the_truth_memo_keys_on_the_resolved_final_time(tmp_path):

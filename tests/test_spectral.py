@@ -23,6 +23,8 @@ def test_eigenpair_normalization_and_boundary(desk_grid, desk_ops):
     assert np.all(phi[desk_grid.boundary] == 0.0)
     # continuum-normalized: discrete mass norm is 1 up to O(h^2)
     assert abs(desk_ops.norm(phi) - 1.0) < 5e-3
+    with pytest.raises(ValueError, match="mode indices must be >= 1"):
+        laplace_eigenpair(0, 1, desk_grid)
 
 
 def test_mode_table_sorted_and_distinct():
@@ -32,6 +34,8 @@ def test_mode_table_sorted_and_distinct():
     mus = [eigenvalue(j, k) for j, k in table]
     assert mus == sorted(mus)
     assert table[0] == (1, 1)
+    with pytest.raises(ValueError, match="need at least one mode"):
+        mode_table(0)
 
 
 def test_parse_problem_kind():
@@ -90,6 +94,11 @@ def test_spectral_coefficients_validation():
         SpectralCoefficients(((1, 1),), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         SpectralCoefficients(((1, 0),), np.array([1.0]))
+    with pytest.raises(ValueError, match="mode indices must be distinct"):
+        SpectralCoefficients(((1, 1), (1, 1)), np.array([1.0, 2.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            SpectralCoefficients(((1, 1), (2, 1)), np.array([1.0, bad]))
 
 
 def test_distinct_mu_subset_skips_degenerate_pairs():

@@ -7,12 +7,10 @@ boundary values by the implicit Euler scheme
 
     (mass + dt * stiffness) U_k = mass * U_{k-1} + dt * mass * f,
 
-with one sparse factorization per (operators, dt), kept for the last few
+with one factorization per (operators, dt), kept for the last few
 (operators, dt) pairs in the process and reused by every solve with that
-step.  SuperLU orders the columns by COLAMD for up to 2,401 interior
-unknowns (a 51 x 51 grid) and by minimum degree on A + A^T above: minimum
-degree leaves less fill at every size, but its triangular solves are the
-faster ones only from about 65 x 65 on.
+step.  ``_factorize``, which factors the denoise system too, picks the
+factorization from the system's size and band.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -39,6 +38,11 @@ _BOUNDARY_TOL = 1e-9
 # pinned bit for bit: up to it the time-step and denoise factors are ordered
 # by COLAMD and the POD correlation matrix is one GEMM (pod.correlation_matrix).
 PINNED_UNKNOWNS = 2401
+
+# Largest band, (bandwidth + 1) x unknowns entries, that _factorize factors
+# as a banded Cholesky: the 129 x 129 time step, near which its solves stop
+# beating minimum-degree SuperLU's.
+BAND_ENTRIES = 129 * 127 ** 2
 
 CoefficientFn = Union[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
@@ -208,24 +212,53 @@ def conform_dirichlet(grid: Grid2D, values: np.ndarray, what: str = "field") -> 
     return out
 
 
-def _column_ordering(unknowns: int) -> str:
-    """SuperLU ``permc_spec`` for a symmetric positive-definite system with
-    ``unknowns`` interior unknowns: COLAMD up to ``PINNED_UNKNOWNS`` (51 x 51
-    and every smaller grid), where its solves are the faster ones, and
-    minimum degree on A + A^T above, where its sparser factors solve faster."""
-    return "COLAMD" if unknowns <= PINNED_UNKNOWNS else "MMD_AT_PLUS_A"
+class _BandedCholesky:
+    """Upper Cholesky factor in LAPACK band storage; ``solve`` works as
+    SuperLU's, but overwrites its right-hand side."""
+
+    def __init__(self, factor: np.ndarray):
+        self.factor = factor
+        self._pbtrs, = scipy.linalg.get_lapack_funcs(("pbtrs",), (factor,))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x, info = self._pbtrs(self.factor, rhs, overwrite_b=True)
+        if info != 0:  # pragma: no cover - arguments are valid by construction
+            raise RuntimeError(f"internal error: pbtrs failed (info {info})")
+        return x
+
+
+def _factorize(system: sp.spmatrix):
+    """Factors of the symmetric positive-definite ``system``, whose
+    ``solve(rhs)`` returns system^-1 rhs: SuperLU ordered by COLAMD up to
+    ``PINNED_UNKNOWNS`` unknowns (results pinned bit for bit), a banded
+    Cholesky in the given (the grid's natural) order above while
+    (bandwidth + 1) x unknowns is at most ``BAND_ENTRIES``, and SuperLU
+    ordered by minimum degree on A + A^T beyond, where the band's fill
+    outgrows a sparse ordering's.  A singular system raises RuntimeError."""
+    n = system.shape[0]
+    if n <= PINNED_UNKNOWNS:
+        return splu(system.tocsc(), permc_spec="COLAMD")
+    upper = sp.triu(system, format="coo")
+    width = int(np.max(upper.col - upper.row))
+    if (width + 1) * n > BAND_ENTRIES:
+        return splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    band = np.zeros((width + 1, n), order="F")   # Fortran order: factored in place
+    band[width + upper.row - upper.col, upper.col] = upper.data
+    try:
+        factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(str(exc)) from None
+    return _BandedCholesky(factor)
 
 
 @functools.lru_cache(maxsize=4)
 def _stepper(ops: DiscreteOperators, dt: float):
-    """(splu of the interior mass + dt * stiffness, interior mass), built on
-    the first solve with this (ops, dt) and kept for the last 4 such pairs
-    in the process.  The column ordering is ``_column_ordering`` of the
-    interior unknown count."""
+    """(``_factorize`` of the interior mass + dt * stiffness, interior mass),
+    built on the first solve with this (ops, dt) and kept for the last 4
+    such pairs in the process."""
     idx = ops.interior
-    system = (ops.mass + dt * ops.stiffness)[np.ix_(idx, idx)].tocsc()
     try:
-        lu = splu(system, permc_spec=_column_ordering(idx.size))
+        lu = _factorize((ops.mass + dt * ops.stiffness)[np.ix_(idx, idx)])
     except RuntimeError as exc:  # pragma: no cover - impossible under invariants
         raise RuntimeError(f"internal error: time-step system is singular ({exc})")
     return lu, ops.mass[np.ix_(idx, idx)].tocsr()

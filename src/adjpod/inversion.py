@@ -24,9 +24,8 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
-from .fem import DiscreteOperators, _column_ordering
+from .fem import DiscreteOperators, _factorize
 from .grid import Grid2D
 from .reduced import ReducedModel
 from .reduced import spod_matrix  # noqa: F401 - traced by perfbench/spans.py
@@ -136,20 +135,21 @@ def nonzero_denoise(label: str, ms: MeasurementSet, ops: DiscreteOperators,
     return fitted
 
 
-# (nx, ny, detector node bytes) of the last call -> (alpha, P, LU of the
-# interior normal matrix), or None: an LU is kept only once its layout
-# repeats, so a process that denoises once (a fine-grid run) does not carry
-# megabytes of factors through the POD that follows, while a noise study on
-# one layout reuses them from its second call on.  At most one entry, and
-# not an lru_cache(maxsize=1), which keeps the old LU alive while the next
-# one is factorized: this dict drops it first.
+# (nx, ny, detector node bytes) of the last call -> (alpha, P, factors of
+# the interior normal matrix), or None: factors are kept only once their
+# layout repeats, so a process that denoises once (a fine-grid run) does not
+# carry megabytes of them through the POD that follows, while a noise study
+# on one layout reuses them from its second call on.  At most one entry, and
+# not an lru_cache(maxsize=1), which keeps the old factors alive while the
+# next ones are built: this dict drops them first.
 _DENOISE_MEMO: dict = {}
 
 
 def _denoise_factors(grid: Grid2D, nodes: np.ndarray, alpha: float):
-    """(sampling matrix P, splu of the interior normal matrix) of ``denoise``,
-    kept for the most recent grid shape, detector layout and alpha once
-    that layout has come twice in a row."""
+    """(sampling matrix P, ``fem._factorize`` of the interior normal matrix)
+    of ``denoise``, kept for the most recent grid shape, detector layout and
+    alpha once that layout has come twice in a row.  A rejected alpha keeps
+    the factors held for its layout."""
     layout = (grid.nx, grid.ny, nodes.tobytes())
     repeats = layout in _DENOISE_MEMO
     held = _DENOISE_MEMO.get(layout)
@@ -165,9 +165,10 @@ def _denoise_factors(grid: Grid2D, nodes: np.ndarray, alpha: float):
         raise ValueError(f"denoising weight alpha={alpha} overflows the denoise "
                          f"normal matrix on this grid")
     idx = grid.interior
-    _DENOISE_MEMO.clear()       # a rejected alpha keeps the held LU
+    if not repeats:
+        _DENOISE_MEMO.clear()   # another layout's factors go before these are built
     try:
-        lu = splu(H[np.ix_(idx, idx)].tocsc(), permc_spec=_column_ordering(idx.size))
+        lu = _factorize(H[np.ix_(idx, idx)])
     except RuntimeError as exc:     # a penalty that underflows leaves it singular
         raise ValueError(f"denoise system with alpha={alpha} is singular ({exc})") from None
     _DENOISE_MEMO[layout] = (alpha, P, lu) if repeats else None

@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from adjpod import (CoefficientSet, ProblemKind, TimeGrid, assemble_operators, build_grid,
                     make_shape)
@@ -51,10 +52,12 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_one_threshold_drives_the_ordering_and_the_correlation_matrix():
+def test_one_threshold_drives_the_ordering_and_the_correlation_matrix(monkeypatch):
     assert pod.PINNED_UNKNOWNS == fem.PINNED_UNKNOWNS == build_grid(51, 51).interior.size
-    assert [fem._column_ordering(fem.PINNED_UNKNOWNS + d) for d in (0, 1)] == \
-        ["COLAMD", "MMD_AT_PLUS_A"]
+    monkeypatch.setattr(fem, "splu", lambda system, permc_spec: permc_spec)
+    pinned, above = (sp.eye(fem.PINNED_UNKNOWNS + d, format="csc") for d in (0, 1))
+    assert fem._factorize(pinned) == "COLAMD"
+    assert isinstance(fem._factorize(above), fem._BandedCholesky)
 
 
 def test_at_51x51_k_is_the_single_gemm_bit_for_bit(snapshots):

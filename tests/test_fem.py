@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
+import adjpod.fem
+
 from adjpod import (CoefficientSet, TimeGrid, assemble_operators, build_grid,
                     laplace_eigenpair, parse_coefficient, solve_forward)
-from adjpod.fem import conform_dirichlet
+from adjpod.fem import DiscreteOperators, conform_dirichlet
 from adjpod.grid import DOMAIN_SIDE
 
 
@@ -198,3 +200,13 @@ def test_time_step_refinement_converges_first_order(grid, ops):
               for M in (10, 20, 40)]
     rates = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
     assert all(r > 0.85 for r in rates), (errors, rates)
+
+
+def test_a_failed_banded_time_step_factorization_is_an_internal_error():
+    # at 53 x 53 the time step is a banded Cholesky; a system that is not
+    # positive-definite fails as SuperLU's singular factor does
+    grid = build_grid(53, 53)
+    ops = assemble_operators(grid, CoefficientSet(q=1.0, c=0.0))
+    indefinite = DiscreteOperators(grid=grid, mass=0 * ops.mass, stiffness=-ops.stiffness)
+    with pytest.raises(RuntimeError, match="internal error: time-step system is singular"):
+        adjpod.fem._stepper(indefinite, 0.1)

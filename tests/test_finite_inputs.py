@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import adjpod.fem
 import adjpod.inversion
 import adjpod.reduced
 from adjpod import (CoefficientSet, ExperimentConfig, InverseConfig, TimeGrid,
@@ -259,9 +260,9 @@ def test_denoise_rejects_an_alpha_whose_normal_matrix_overflows(grid, noisy):
 
 def test_a_rejected_alpha_keeps_the_held_denoise_factorization(grid, noisy, monkeypatch):
     calls = []
-    real = adjpod.inversion.splu
-    monkeypatch.setattr(adjpod.inversion, "splu",
-                        lambda a, *args, **kw: calls.append(a.shape) or real(a, *args, **kw))
+    real = adjpod.inversion._factorize
+    monkeypatch.setattr(adjpod.inversion, "_factorize",
+                        lambda a: calls.append(a.shape) or real(a))
     monkeypatch.setattr(adjpod.inversion, "_DENOISE_MEMO", {})
     first = denoise(noisy, grid, 1e-6)
     assert np.array_equal(denoise(noisy, grid, 1e-6), first)   # the layout repeats
@@ -282,6 +283,28 @@ def test_denoise_names_an_alpha_whose_penalty_underflows(grid, noisy):
     # alpha * cell rounds to 0, and half the interior has no detector
     with pytest.raises(ValueError, match="alpha=5e-324 is singular"):
         denoise(noisy, grid, 5e-324)
+
+
+def test_a_singular_banded_denoise_keeps_the_held_factorization(monkeypatch):
+    # at 53 x 53 the denoise system is a banded Cholesky: the zero pivots
+    # left by an underflowing penalty fail as SuperLU's singular factor does
+    grid = build_grid(53, 53)
+    nodes = grid.interior[::2]
+    ms = add_noise(grid.coords[nodes], make_shape("sin2", grid)[nodes], 0.1, seed=1)
+    calls = []
+    real = adjpod.inversion._factorize
+    monkeypatch.setattr(adjpod.inversion, "_factorize",
+                        lambda a: calls.append(a.shape) or real(a))
+    monkeypatch.setattr(adjpod.inversion, "_DENOISE_MEMO", {})
+    first = denoise(ms, grid, 1e-6)
+    assert np.array_equal(denoise(ms, grid, 1e-6), first)   # the layout repeats
+    (held,) = adjpod.inversion._DENOISE_MEMO.values()
+    assert isinstance(held[2], adjpod.fem._BandedCholesky)
+    with pytest.raises(ValueError, match="alpha=5e-324 is singular"):
+        denoise(ms, grid, 5e-324)
+    assert len(calls) == 3
+    assert np.array_equal(denoise(ms, grid, 1e-6), first)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("bad", BAD)

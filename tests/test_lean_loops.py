@@ -237,9 +237,9 @@ def test_denoise_factorizes_once_per_grid_detectors_and_alpha(grid, monkeypatch)
     # a first call on a layout keeps no LU; from the second call on a
     # layout, one LU per alpha is kept
     calls = []
-    real = adjpod.inversion.splu
-    monkeypatch.setattr(adjpod.inversion, "splu",
-                        lambda a, *args, **kw: calls.append(a.shape) or real(a, *args, **kw))
+    real = adjpod.inversion._factorize
+    monkeypatch.setattr(adjpod.inversion, "_factorize",
+                        lambda a: calls.append(a.shape) or real(a))
     adjpod.inversion._DENOISE_MEMO.clear()
     nodes = grid.interior[:40:3]            # the first interior rows
     ms1, ms2 = _measurements(grid, nodes, seed=1), _measurements(grid, nodes, seed=2)

@@ -22,7 +22,6 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import SuperLU
 
 import adjpod.fem
 from adjpod import (CoefficientSet, ExperimentConfig, TimeGrid, assemble_operators,
@@ -256,9 +255,9 @@ def test_equal_problems_share_one_setup():
 
 def test_one_factorization_per_operators_and_step(monkeypatch):
     calls = []
-    real = adjpod.fem.splu
-    monkeypatch.setattr(adjpod.fem, "splu",
-                        lambda a, *args, **kw: calls.append(a.shape) or real(a, *args, **kw))
+    real = adjpod.fem._factorize
+    monkeypatch.setattr(adjpod.fem, "_factorize",
+                        lambda a: calls.append(a.shape) or real(a))
     grid = build_grid(9, 9)
     ops = assemble_operators(grid, CoefficientSet(q=1.0, c=0.0))
     f = make_shape("sin1", grid)
@@ -285,19 +284,18 @@ def test_one_factorization_per_operators_and_step(monkeypatch):
 
 
 def _held_denoise_factors() -> int:
-    """How many SuperLU objects the denoise memo holds."""
-    return sum(isinstance(part, SuperLU) for entry in inversion._DENOISE_MEMO.values()
-               if entry is not None for part in entry)
+    """How many factorizations the denoise memo holds."""
+    return sum(entry is not None for entry in inversion._DENOISE_MEMO.values())
 
 
 def test_the_denoise_memo_keeps_factors_once_a_layout_repeats(tmp_path, monkeypatch,
                                                                artifact_tree):
     calls = []
-    splu = inversion.splu
-    monkeypatch.setattr(inversion, "splu",
-                        lambda a, *args, **kw: calls.append(a.shape) or splu(a, *args, **kw))
+    factorize = inversion._factorize
+    monkeypatch.setattr(inversion, "_factorize",
+                        lambda a: calls.append(a.shape) or factorize(a))
     monkeypatch.setattr(inversion, "_DENOISE_MEMO", {})
-    # (config, its run's denoise factorizations, SuperLUs held after it)
+    # (config, its run's denoise factorizations, factorizations held after it)
     runs = [(BASE, 1, 0),                               # one-shot: nothing held
             (BASE, 1, 1),                               # the layout repeats: kept
             (BASE, 0, 1),                               # hit

@@ -2,15 +2,17 @@
 
 Assembles the consistent mass matrix and the stiffness matrix of the
 bilinear form a(u, v) = (q grad u, grad v) + (c u, v) on a structured
-triangulation, and advances u_t + L u = f with homogeneous Dirichlet
-boundary values by the implicit Euler scheme
+triangulation, a block of triangles at a time so that the transient stays
+near the operators returned, and advances u_t + L u = f with homogeneous
+Dirichlet boundary values by the implicit Euler scheme
 
     (mass + dt * stiffness) U_k = mass * U_{k-1} + dt * mass * f,
 
 with one factorization per (operators, dt), kept for the last few
 (operators, dt) pairs in the process and reused by every solve with that
 step.  ``_factorize``, which factors the denoise system too, picks the
-factorization from the system's size and band.
+factorization from the system's size and band, taking a wide, thin grid's
+unknowns column by column when that narrows the band enough.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ PINNED_UNKNOWNS = 2401
 # as a banded Cholesky: the 129 x 129 time step, near which its solves stop
 # beating minimum-degree SuperLU's.
 BAND_ENTRIES = 129 * 127 ** 2
+
+# Triangles whose element matrices assemble_operators forms at once.
+_ASSEMBLY_BLOCK = 2048
 
 CoefficientFn = Union[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
@@ -134,13 +139,9 @@ class Trajectory:
         return self.states[-1]
 
 
-def assemble_operators(grid: Grid2D, coeffs: CoefficientSet) -> DiscreteOperators:
-    """Assemble consistent mass and the stiffness of a(u, v).
-
-    Variable coefficients are integrated with the three-point
-    edge-midpoint rule (exact for P1 integrands); the mass matrix is the
-    exact consistent P1 mass.
-    """
+def _sampled_coefficients(grid: Grid2D, coeffs: CoefficientSet):
+    """(area, q's midpoint mean / (4 area), c at the edge midpoints) of every
+    triangle, checked over the whole mesh; the rest is freed on return."""
     tris = grid.triangles
     p1 = grid.coords[tris[:, 0]]
     p2 = grid.coords[tris[:, 1]]
@@ -151,10 +152,6 @@ def assemble_operators(grid: Grid2D, coeffs: CoefficientSet) -> DiscreteOperator
     area = 0.5 * (d21[:, 0] * d31[:, 1] - d21[:, 1] * d31[:, 0])
     if np.any(area <= 0):
         raise ValueError("triangulation contains non-positive element areas")
-
-    # gradients of the hat functions: grad phi_i = (b_i, c_i) / (2 A)
-    b = np.stack([p2[:, 1] - p3[:, 1], p3[:, 1] - p1[:, 1], p1[:, 1] - p2[:, 1]], axis=1)
-    c = np.stack([p3[:, 0] - p2[:, 0], p1[:, 0] - p3[:, 0], p2[:, 0] - p1[:, 0]], axis=1)
 
     mids = np.stack([(p1 + p2) / 2, (p2 + p3) / 2, (p3 + p1) / 2], axis=1)  # (ntri, 3, 2)
     mx, my = mids[:, :, 0], mids[:, :, 1]
@@ -168,30 +165,53 @@ def assemble_operators(grid: Grid2D, coeffs: CoefficientSet) -> DiscreteOperator
         raise ValueError("diffusion coefficient q must be strictly positive everywhere")
     if np.any(c_samples < 0):
         raise ValueError("reaction coefficient c must be non-negative everywhere")
-
-    # diffusion block: (integral of q) * grad phi_i . grad phi_j
-    grads = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
     with np.errstate(over="ignore", invalid="ignore"):
-        q_bar = q_samples.mean(axis=1)
-        k_local = (q_bar / (4.0 * area))[:, None, None] * grads
-    if not np.all(np.isfinite(k_local)):
-        raise ValueError("diffusion coefficient q overflows the stiffness matrix on this grid")
-    # reaction block via the same midpoint rule
+        return area, q_samples.mean(axis=1) / (4.0 * area), c_samples
+
+
+def assemble_operators(grid: Grid2D, coeffs: CoefficientSet) -> DiscreteOperators:
+    """Assemble consistent mass and the stiffness of a(u, v).
+
+    Variable coefficients are integrated with the three-point
+    edge-midpoint rule (exact for P1 integrands); the mass matrix is the
+    exact consistent P1 mass.  q and c are sampled and checked over the
+    whole mesh, then the element matrices are formed ``_ASSEMBLY_BLOCK``
+    triangles at a time, so no (triangles, 3, 3) temporary outlives its block.
+    """
+    tris = grid.triangles
+    area, q_area, c_samples = _sampled_coefficients(grid, coeffs)
     phi_outer = _PHI_MID[:, :, None] * _PHI_MID[:, None, :]          # (3, 3, 3)
-    r_local = (area / 3.0)[:, None, None] * np.einsum("tm,mij->tij", c_samples, phi_outer)
-    k_local = k_local + r_local
+    k_vals = np.empty((tris.shape[0], 3, 3))
+    for start in range(0, tris.shape[0], _ASSEMBLY_BLOCK):
+        t = slice(start, start + _ASSEMBLY_BLOCK)
+        p1, p2, p3 = (grid.coords[tris[t, i]] for i in range(3))
+        # gradients of the hat functions: grad phi_i = (b_i, c_i) / (2 A)
+        b = np.stack([p2[:, 1] - p3[:, 1], p3[:, 1] - p1[:, 1], p1[:, 1] - p2[:, 1]], axis=1)
+        c = np.stack([p3[:, 0] - p2[:, 0], p1[:, 0] - p3[:, 0], p2[:, 0] - p1[:, 0]], axis=1)
+        # diffusion block: (integral of q) * grad phi_i . grad phi_j
+        grads = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
+        with np.errstate(over="ignore", invalid="ignore"):
+            k_local = q_area[t, None, None] * grads
+        if not np.all(np.isfinite(k_local)):
+            raise ValueError("diffusion coefficient q overflows the stiffness matrix "
+                             "on this grid")
+        # reaction block via the same midpoint rule
+        r_local = (area[t] / 3.0)[:, None, None] * np.einsum("tm,mij->tij", c_samples[t],
+                                                             phi_outer)
+        np.add(k_local, r_local, out=k_vals[t])
+    del q_area, c_samples           # gone before the COO conversion, the peak
 
     m_pattern = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    m_local = area[:, None, None] * m_pattern[None, :, :]
+    m_vals = area[:, None, None] * m_pattern[None, :, :]
 
     ii = tris[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
     jj = tris[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
     n = grid.n_nodes
-    stiffness = sp.coo_matrix((k_local.ravel(), (ii, jj)), shape=(n, n)).tocsr()
+    stiffness = sp.coo_matrix((k_vals.ravel(), (ii, jj)), shape=(n, n)).tocsr()
     if not np.all(np.isfinite(stiffness.data)):     # the sum at a node overflows
         raise ValueError("diffusion coefficient q and reaction coefficient c overflow "
                          "the assembled stiffness matrix on this grid")
-    mass = sp.coo_matrix((m_local.ravel(), (ii, jj)), shape=(n, n)).tocsr()
+    mass = sp.coo_matrix((m_vals.ravel(), (ii, jj)), shape=(n, n)).tocsr()
     return DiscreteOperators(grid=grid, mass=mass, stiffness=stiffness)
 
 
@@ -213,34 +233,45 @@ def conform_dirichlet(grid: Grid2D, values: np.ndarray, what: str = "field") -> 
 
 
 class _BandedCholesky:
-    """Upper Cholesky factor in LAPACK band storage; ``solve`` works as
-    SuperLU's, but overwrites its right-hand side."""
+    """Upper Cholesky factor in LAPACK band storage, unknowns in ``order``
+    (None: as given); ``solve`` works as SuperLU's but may overwrite rhs."""
 
-    def __init__(self, factor: np.ndarray):
+    def __init__(self, factor: np.ndarray, order: Optional[np.ndarray]):
         self.factor = factor
+        self.order = order
         self._pbtrs, = scipy.linalg.get_lapack_funcs(("pbtrs",), (factor,))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.order is not None:
+            rhs = rhs[self.order]
         x, info = self._pbtrs(self.factor, rhs, overwrite_b=True)
         if info != 0:  # pragma: no cover - arguments are valid by construction
             raise RuntimeError(f"internal error: pbtrs failed (info {info})")
+        if self.order is not None:
+            x[self.order] = x.copy()
         return x
 
 
-def _factorize(system: sp.spmatrix):
-    """Factors of the symmetric positive-definite ``system``, whose
-    ``solve(rhs)`` returns system^-1 rhs: SuperLU ordered by COLAMD up to
-    ``PINNED_UNKNOWNS`` unknowns (results pinned bit for bit), a banded
-    Cholesky in the given (the grid's natural) order above while
-    (bandwidth + 1) x unknowns is at most ``BAND_ENTRIES``, and SuperLU
-    ordered by minimum degree on A + A^T beyond, where the band's fill
-    outgrows a sparse ordering's.  A singular system raises RuntimeError."""
+def _factorize(system: sp.spmatrix, shape: tuple):
+    """Factors of the symmetric positive-definite ``system`` on the
+    interior node block of ``shape`` (rows, columns), numbered row by row,
+    whose ``solve(rhs)`` returns system^-1 rhs: SuperLU ordered by COLAMD
+    up to ``PINNED_UNKNOWNS`` unknowns (results pinned bit for bit); above,
+    a banded Cholesky while (bandwidth + 1) x unknowns is at most
+    ``BAND_ENTRIES``, in the given (row-major) order or else, on a wide,
+    thin block, column by column; and SuperLU ordered by minimum degree on
+    A + A^T where neither band fits.  A singular system raises
+    RuntimeError."""
     n = system.shape[0]
     if n <= PINNED_UNKNOWNS:
         return splu(system.tocsc(), permc_spec="COLAMD")
-    upper = sp.triu(system, format="coo")
-    width = int(np.max(upper.col - upper.row))
-    if (width + 1) * n > BAND_ENTRIES:
+    columns = (np.arange(n).reshape(shape).T.ravel(),) if shape[1] > shape[0] else ()
+    for order in (None,) + columns:
+        upper = sp.triu(system if order is None else system[order][:, order], format="coo")
+        width = int(np.max(upper.col - upper.row))
+        if (width + 1) * n <= BAND_ENTRIES:
+            break
+    else:
         return splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A")
     band = np.zeros((width + 1, n), order="F")   # Fortran order: factored in place
     band[width + upper.row - upper.col, upper.col] = upper.data
@@ -248,7 +279,7 @@ def _factorize(system: sp.spmatrix):
         factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(str(exc)) from None
-    return _BandedCholesky(factor)
+    return _BandedCholesky(factor, order)
 
 
 @functools.lru_cache(maxsize=4)
@@ -258,7 +289,8 @@ def _stepper(ops: DiscreteOperators, dt: float):
     such pairs in the process."""
     idx = ops.interior
     try:
-        lu = _factorize((ops.mass + dt * ops.stiffness)[np.ix_(idx, idx)])
+        lu = _factorize((ops.mass + dt * ops.stiffness)[np.ix_(idx, idx)],
+                        ops.grid.interior_shape)
     except RuntimeError as exc:  # pragma: no cover - impossible under invariants
         raise RuntimeError(f"internal error: time-step system is singular ({exc})")
     return lu, ops.mass[np.ix_(idx, idx)].tocsr()
@@ -342,7 +374,7 @@ def solve_forward(ops: DiscreteOperators, tg: TimeGrid,
     # grid.interior is the row-major block [1:-1, 1:-1] of the (ny, nx) node
     # array, so a state's interior values are written through this view
     inner = states.reshape(len(steps), grid.ny, grid.nx)[:, 1:-1, 1:-1]
-    block = (grid.ny - 2, grid.nx - 2)
+    block = grid.interior_shape
     u = g[idx].copy()
     row = 0
     if steps[0] == 0:

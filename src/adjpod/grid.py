@@ -32,6 +32,11 @@ class Grid2D:
         return self.nx * self.ny
 
     @property
+    def interior_shape(self) -> tuple:
+        """(rows, columns) of the interior node block; ``interior`` is row-major."""
+        return (self.ny - 2, self.nx - 2)
+
+    @property
     def hx(self) -> float:
         return DOMAIN_SIDE / (self.nx - 1)
 

@@ -148,8 +148,10 @@ _DENOISE_MEMO: dict = {}
 def _denoise_factors(grid: Grid2D, nodes: np.ndarray, alpha: float):
     """(sampling matrix P, ``fem._factorize`` of the interior normal matrix)
     of ``denoise``, kept for the most recent grid shape, detector layout and
-    alpha once that layout has come twice in a row.  A rejected alpha keeps
-    the factors held for its layout."""
+    alpha once that layout has come twice in a row.  The normal matrix is
+    built from the interior columns of P and of the stencil, so no
+    boundary row or column of it is formed.  A rejected alpha keeps the
+    factors held for its layout."""
     layout = (grid.nx, grid.ny, nodes.tobytes())
     repeats = layout in _DENOISE_MEMO
     held = _DENOISE_MEMO.get(layout)
@@ -157,18 +159,18 @@ def _denoise_factors(grid: Grid2D, nodes: np.ndarray, alpha: float):
         return held[1:]
     n = nodes.size
     P = sp.coo_matrix((np.ones(n), (np.arange(n), nodes)), shape=(n, grid.n_nodes)).tocsr()
-    B = laplacian_stencil(grid)
+    idx = grid.interior
+    P_i, B_i = P[:, idx], laplacian_stencil(grid)[:, idx]
     cell = grid.hx * grid.hy
     with np.errstate(over="ignore", invalid="ignore"):
-        H = (P.T @ P) / n + (alpha * cell) * (B.T @ B)
+        H = (P_i.T @ P_i) / n + (alpha * cell) * (B_i.T @ B_i)
     if not np.all(np.isfinite(H.data)):
         raise ValueError(f"denoising weight alpha={alpha} overflows the denoise "
                          f"normal matrix on this grid")
-    idx = grid.interior
     if not repeats:
         _DENOISE_MEMO.clear()   # another layout's factors go before these are built
     try:
-        lu = _factorize(H[np.ix_(idx, idx)])
+        lu = _factorize(H, grid.interior_shape)
     except RuntimeError as exc:     # a penalty that underflows leaves it singular
         raise ValueError(f"denoise system with alpha={alpha} is singular ({exc})") from None
     _DENOISE_MEMO[layout] = (alpha, P, lu) if repeats else None

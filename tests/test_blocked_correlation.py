@@ -56,8 +56,8 @@ def test_one_threshold_drives_the_ordering_and_the_correlation_matrix(monkeypatc
     assert pod.PINNED_UNKNOWNS == fem.PINNED_UNKNOWNS == build_grid(51, 51).interior.size
     monkeypatch.setattr(fem, "splu", lambda system, permc_spec: permc_spec)
     pinned, above = (sp.eye(fem.PINNED_UNKNOWNS + d, format="csc") for d in (0, 1))
-    assert fem._factorize(pinned) == "COLAMD"
-    assert isinstance(fem._factorize(above), fem._BandedCholesky)
+    assert fem._factorize(pinned, (1, pinned.shape[0])) == "COLAMD"
+    assert isinstance(fem._factorize(above, (1, above.shape[0])), fem._BandedCholesky)
 
 
 def test_at_51x51_k_is_the_single_gemm_bit_for_bit(snapshots):

@@ -4,10 +4,12 @@
 unknowns (51 x 51 and every smaller grid), so those results are unchanged
 bit for bit.  Above, it factors a banded Cholesky in the grid's natural
 order while the band, (bandwidth + 1) x unknowns entries, holds at most
-``fem.BAND_ENTRIES`` (the 129 x 129 time step), and SuperLU ordered by
-minimum degree on A + A^T beyond.  Past 2,401 unknowns both regimes must
-match a COLAMD reference to roundoff, and minimum degree must leave less
-fill than COLAMD, which is what makes its triangular solves faster.
+``fem.BAND_ENTRIES`` (the 129 x 129 time step), else in the interior's
+column-major order when that band fits (a wide, thin grid), and SuperLU
+ordered by minimum degree on A + A^T where neither fits.  Past 2,401
+unknowns every regime must match a COLAMD reference to roundoff, and
+minimum degree must leave less fill than COLAMD, which is what makes its
+triangular solves faster.
 """
 
 import tracemalloc
@@ -91,8 +93,8 @@ def test_the_ordering_is_keyed_on_the_interior_unknown_count(regime, nx, ny, ord
 
 def test_the_threshold_sits_at_2401_unknowns(regime):
     assert build_grid(51, 51).interior.size == PINNED_UNKNOWNS == 2401
-    assert [regime(lambda: _factorize(_band_system(n, 1))) for n in (2400, 2401, 2402)] == \
-        ["COLAMD", "COLAMD", "BAND"]
+    assert [regime(lambda: _factorize(_band_system(n, 1), (1, n)))
+            for n in (2400, 2401, 2402)] == ["COLAMD", "COLAMD", "BAND"]
 
 
 @pytest.mark.parametrize("nx, ny, system, ordering", [
@@ -101,10 +103,39 @@ def test_the_threshold_sits_at_2401_unknowns(regime):
     (129, 129, "denoise", "MMD_AT_PLUS_A"),   # band 255 x 16,129
     (129, 33, "step", "BAND"),                # 3,937 unknowns on a thin grid
     (129, 33, "denoise", "BAND"),
-    (1025, 33, "step", "MMD_AT_PLUS_A"),      # a band 1,024 wide
+    (1025, 33, "step", "BAND"),               # column-major: 33 x 31,713
+    (1025, 33, "denoise", "BAND"),            # column-major: 63 x 31,713
+    (1025, 65, "step", "MMD_AT_PLUS_A"),      # column-major: 65 x 64,449
 ])
 def test_the_band_limit_is_on_band_entries_not_unknowns(regime, nx, ny, system, ordering):
     assert regime(_systems(nx, ny)[system]) == ordering
+
+
+@pytest.mark.parametrize("nx, ny", [(1025, 17), (2049, 5)])
+def test_a_wide_thin_grid_is_a_band_taken_column_by_column(monkeypatch, nx, ny):
+    """The row-major bands, about nx and 2 nx wide, are past the limit; the
+    column-major ones are ny - 1 and 2 (ny - 2) wide."""
+    monkeypatch.setattr(inversion, "_DENOISE_MEMO", {})
+    systems = _systems(nx, ny)
+    for system, width in (("step", ny - 1), ("denoise", 2 * (ny - 2))):
+        factors = systems[system]()
+        assert isinstance(factors, _BandedCholesky)
+        assert factors.order is not None and factors.factor.shape[0] == width + 1
+
+
+@pytest.mark.parametrize("nx, ny, ordering, orders_tried", [
+    (131, 131, "MMD_AT_PLUS_A", 1),   # square: the column-major band is as wide
+    (17, 1025, "BAND", 1),            # tall: the row-major band is the narrow one
+    (1025, 65, "MMD_AT_PLUS_A", 2),   # wide: both are tried
+])
+def test_the_column_order_is_tried_only_on_a_wide_block(monkeypatch, regime, nx, ny,
+                                                        ordering, orders_tried):
+    triu = sp.triu
+    calls = []
+    monkeypatch.setattr(adjpod.fem.sp, "triu",
+                        lambda *args, **kwargs: calls.append(1) or triu(*args, **kwargs))
+    assert regime(_systems(nx, ny)["step"]) == ordering
+    assert len(calls) == orders_tried
 
 
 def _colamd_final_state(ops, tg, f, g):
@@ -128,6 +159,12 @@ def _close(got, want):
 @pytest.fixture(scope="module")
 def grid65():
     return build_grid(65, 65)
+
+
+@pytest.fixture(scope="module")
+def grid2049x5():
+    """A wide, thin grid: its bands are taken column by column."""
+    return build_grid(2049, 5)
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +193,11 @@ def test_banded_solves_match_a_colamd_reference(grid65, kind, T, q, c):
 
 
 @pytest.mark.parametrize("kind, T, q, c", SOLVES)
+def test_column_banded_solves_match_a_colamd_reference(grid2049x5, kind, T, q, c):
+    assert _matches_colamd(grid2049x5, kind, T, q, c)
+
+
+@pytest.mark.parametrize("kind, T, q, c", SOLVES)
 def test_minimum_degree_solves_match_a_colamd_reference(grid131, kind, T, q, c):
     assert _matches_colamd(grid131, kind, T, q, c)
 
@@ -164,7 +206,7 @@ def _with_colamd(monkeypatch):
     """Let the denoise path factor its next system by COLAMD SuperLU."""
     monkeypatch.setattr(inversion, "_DENOISE_MEMO", {})
     monkeypatch.setattr(inversion, "_factorize",
-                        lambda system: splu(system.tocsc(), permc_spec="COLAMD"))
+                        lambda system, shape: splu(system.tocsc(), permc_spec="COLAMD"))
 
 
 def _matches_colamd_denoise(grid, monkeypatch):
@@ -177,6 +219,12 @@ def _matches_colamd_denoise(grid, monkeypatch):
 
 def test_banded_denoise_matches_a_colamd_reference(grid65, monkeypatch):
     assert _matches_colamd_denoise(grid65, monkeypatch)
+
+
+def test_column_banded_denoise_matches_a_colamd_reference(monkeypatch):
+    # not 2049 x 5: there the system's condition number is 2.1e7, and COLAMD,
+    # minimum degree and a dense Cholesky already differ by 3e-10 relative
+    assert _matches_colamd_denoise(build_grid(1025, 17), monkeypatch)
 
 
 def test_minimum_degree_denoise_matches_a_colamd_reference(grid131, monkeypatch):
@@ -205,7 +253,7 @@ def test_the_band_is_factored_in_place(grid65):
     system = _time_step_system(_ops(grid65), DT)
     tracemalloc.start()
     try:
-        factors = _factorize(system)
+        factors = _factorize(system, grid65.interior_shape)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

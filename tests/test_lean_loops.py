@@ -239,7 +239,7 @@ def test_denoise_factorizes_once_per_grid_detectors_and_alpha(grid, monkeypatch)
     calls = []
     real = adjpod.inversion._factorize
     monkeypatch.setattr(adjpod.inversion, "_factorize",
-                        lambda a: calls.append(a.shape) or real(a))
+                        lambda a, shape: calls.append(a.shape) or real(a, shape))
     adjpod.inversion._DENOISE_MEMO.clear()
     nodes = grid.interior[:40:3]            # the first interior rows
     ms1, ms2 = _measurements(grid, nodes, seed=1), _measurements(grid, nodes, seed=2)

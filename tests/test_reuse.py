@@ -257,7 +257,7 @@ def test_one_factorization_per_operators_and_step(monkeypatch):
     calls = []
     real = adjpod.fem._factorize
     monkeypatch.setattr(adjpod.fem, "_factorize",
-                        lambda a: calls.append(a.shape) or real(a))
+                        lambda a, shape: calls.append(a.shape) or real(a, shape))
     grid = build_grid(9, 9)
     ops = assemble_operators(grid, CoefficientSet(q=1.0, c=0.0))
     f = make_shape("sin1", grid)
@@ -293,7 +293,7 @@ def test_the_denoise_memo_keeps_factors_once_a_layout_repeats(tmp_path, monkeypa
     calls = []
     factorize = inversion._factorize
     monkeypatch.setattr(inversion, "_factorize",
-                        lambda a: calls.append(a.shape) or factorize(a))
+                        lambda a, shape: calls.append(a.shape) or factorize(a, shape))
     monkeypatch.setattr(inversion, "_DENOISE_MEMO", {})
     # (config, its run's denoise factorizations, factorizations held after it)
     runs = [(BASE, 1, 0),                               # one-shot: nothing held

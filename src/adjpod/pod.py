@@ -11,8 +11,10 @@ can store just those, straight into the first rows of the snapshot matrix
 of snapshot rows at a time: the memory of the snapshot path grows with
 ``max_snapshots * n_nodes``, not with M.  Up to ``fem.PINNED_UNKNOWNS``
 interior unknowns K is one GEMM against the whole mass product, which
-keeps its bits; above, K is filled a block of columns at a time, so the
-only snapshot-sized array is the snapshot matrix itself.
+keeps its bits; above, K is filled a block of columns at a time from one
+reused buffer of mass products, written a snapshot at a time, so the only
+snapshot-sized array is the snapshot matrix itself and no block of it is
+copied.
 """
 
 from __future__ import annotations
@@ -155,23 +157,15 @@ def collect_snapshots(traj: Trajectory, ops: DiscreteOperators,
                        max_snapshots=max_snapshots)
 
 
-def _mass_blocks(mass, Y: np.ndarray):
-    """``(start, stop, mass @ Y[start:stop].T)`` per ``_MASS_BLOCK_ROWS`` snapshot
-    rows; a caller deletes each block before the next, so one exists at a time."""
-    for start in range(0, Y.shape[0], _MASS_BLOCK_ROWS):
-        stop = min(start + _MASS_BLOCK_ROWS, Y.shape[0])
-        yield start, stop, mass @ Y[start:stop].T
-
-
 def _mass_product(mass, Y: np.ndarray) -> np.ndarray:
     """``mass @ Y.T`` as one (n_nodes, count) array, formed a block of
     snapshot rows at a time so that no transposed copy of all of Y is made.
     Each entry is the same sum as in the one-shot product, so the bits are
     equal."""
     out = np.empty((Y.shape[1], Y.shape[0]))
-    for start, stop, block in _mass_blocks(mass, Y):
-        out[:, start:stop] = block
-        del block
+    for start in range(0, Y.shape[0], _MASS_BLOCK_ROWS):
+        stop = min(start + _MASS_BLOCK_ROWS, Y.shape[0])
+        out[:, start:stop] = mass @ Y[start:stop].T
     return out
 
 
@@ -182,14 +176,20 @@ def correlation_matrix(Y: np.ndarray, ops: DiscreteOperators) -> np.ndarray:
     GEMM, because splitting it into blocks changes the rounding of its
     entries.  Above, K is filled ``_MASS_BLOCK_ROWS`` columns at a time,
     K[:, a:b] = Y (M Y[a:b]^T), so the (n_nodes, count) mass product is
-    never built; K then agrees with the single GEMM to roundoff."""
+    never built: the rows M y_i of one block are written, a snapshot at a
+    time, into a single (_MASS_BLOCK_ROWS, n_nodes) buffer reused by every
+    block, so no block of Y is copied and no block product is allocated.
+    K then agrees with the single GEMM to roundoff."""
     if ops.interior.size <= PINNED_UNKNOWNS:
         K = Y @ _mass_product(ops.mass, Y)
     else:
         K = np.empty((Y.shape[0], Y.shape[0]))
-        for start, stop, block in _mass_blocks(ops.mass, Y):
-            K[:, start:stop] = Y @ block
-            del block
+        buf = np.empty((min(_MASS_BLOCK_ROWS, Y.shape[0]), Y.shape[1]))
+        for start in range(0, Y.shape[0], _MASS_BLOCK_ROWS):
+            stop = min(start + _MASS_BLOCK_ROWS, Y.shape[0])
+            for i in range(start, stop):
+                buf[i - start] = ops.mass @ Y[i]
+            K[:, start:stop] = Y @ buf[:stop - start].T
     return 0.5 * (K + K.T)
 
 

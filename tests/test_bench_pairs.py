@@ -1,9 +1,15 @@
-"""The verdict of ``tools/bench_pairs.py`` on synthetic paired runs."""
+"""The verdict of ``tools/bench_pairs.py`` on synthetic paired runs, and
+its choice of workloads."""
 
+import json
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+sys.path.insert(0, str(ROOT / "tools"))
 import bench_pairs  # noqa: E402
 
 # ten parent runs of a lower-is-better time: median 1.0, quartiles 0.9725 / 1.0275
@@ -67,3 +73,31 @@ def test_a_lost_pair_and_a_tied_pair_are_told_apart():
     tied = _verdict([PARENT[0]] + won_rest)
     assert (lost["wins"], lost["losses"], lost["ties"]) == (9, 1, 0)
     assert (tied["wins"], tied["losses"], tied["ties"]) == (9, 0, 1)
+
+
+def test_an_unknown_workload_fails_before_the_parent_is_exported(monkeypatch):
+    def export(rev, into):
+        raise AssertionError("the parent was exported")
+
+    monkeypatch.setattr(bench_pairs, "_export", export)
+    with pytest.raises(SystemExit, match="unknown workload no_such_workload; "
+                                         "BENCHMARK.json lists noise_study"):
+        bench_pairs.main("HEAD", ["stretch_source", "no_such_workload"])
+
+
+@pytest.mark.parametrize("named", [[], ["gradient_backward"]])
+def test_only_the_named_workloads_are_paired(monkeypatch, capsys, named):
+    monkeypatch.setattr(bench_pairs, "_export", lambda rev, into: None)
+    invoked = []
+
+    def invoke(workload, seed, trace, checkout):
+        invoked.append(workload)
+        return {"result": {"metrics": {entry["name"]: {"value": 1.0}
+                                       for entry in BENCHMARK["end_to_end"]}}}
+
+    monkeypatch.setattr(bench_pairs, "invoke", invoke)
+    bench_pairs.main("HEAD", named)
+    paired = named or [entry["name"] for entry in BENCHMARK["workloads"]]
+    assert invoked == [name for name in paired for _ in range(2 * bench_pairs.PAIRS)]
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()
+            if not line.startswith(" ")] == paired

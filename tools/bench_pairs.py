@@ -1,10 +1,11 @@
 """Compare the benchmark of this checkout with a parent revision in pairs.
 
-    python3 tools/bench_pairs.py <parent-rev>
+    python3 tools/bench_pairs.py <parent-rev> [workload ...]
 
 The parent's ``src``, ``perfbench`` and ``BENCHMARK.json`` are exported
 with ``git archive`` into a temporary directory (no worktree, nothing in
-``.git`` changes).  For every workload BENCHMARK.json lists it runs PAIRS
+``.git`` changes).  For each named workload, or every workload
+BENCHMARK.json lists when none is named, it runs PAIRS
 pairs of the unmodified ``perfbench/run.py --trace 0`` through
 ``bench_capture.invoke``, one in each checkout, at seeds 1..PAIRS,
 alternating which side runs first.  For each end-to-end metric it prints
@@ -65,12 +66,17 @@ def _export(rev: str, into: str) -> None:
         tar.extractall(into, filter="data")
 
 
-def main(parent_rev: str) -> None:
+def main(parent_rev: str, workloads: list) -> None:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         benchmark = json.load(fh)
+    known = [entry["name"] for entry in benchmark["workloads"]]
+    unknown = [name for name in workloads if name not in known]
+    if unknown:
+        sys.exit(f"unknown workload {', '.join(unknown)}; BENCHMARK.json lists "
+                 f"{', '.join(known)}")
     with tempfile.TemporaryDirectory() as parent_root:
         _export(parent_rev, parent_root)
-        for workload in (entry["name"] for entry in benchmark["workloads"]):
+        for workload in workloads or known:
             runs = {"parent": [], "change": []}
             for seed in range(1, PAIRS + 1):
                 order = [("parent", parent_root), ("change", ROOT)]
@@ -91,6 +97,6 @@ def main(parent_rev: str) -> None:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python3 tools/bench_pairs.py <parent-rev>")
-    main(sys.argv[1])
+    if len(sys.argv) < 2:
+        sys.exit("usage: python3 tools/bench_pairs.py <parent-rev> [workload ...]")
+    main(sys.argv[1], sys.argv[2:])

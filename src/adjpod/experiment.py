@@ -432,7 +432,7 @@ def _truth_stage(problem: tuple, truth: str, max_snapshots: int) -> TruthStage:
     Kept for the most recent arguments; its arrays are read-only.  No basis
     size enters: a run sizes the basis it reads with ``PodBasis.size``.  The
     forward solve is the truth's ``snapshot_set``, and of its snapshot
-    matrix only a copy of the final state outlives this call; the two
+    set only a copy of the final state outlives this call; the two
     fields' CSV texts are formatted here, once per truth.  Failures are
     tagged with the stage that raised; the time of a miss falls in the
     run's ``setup``.

@@ -8,11 +8,12 @@ Dirichlet boundary values by the implicit Euler scheme
 
     (mass + dt * stiffness) U_k = mass * U_{k-1} + dt * mass * f,
 
-with one factorization per (operators, dt), kept for the last few
-(operators, dt) pairs in the process and reused by every solve with that
-step.  ``_factorize``, which factors the denoise system too, picks the
-factorization from the system's size and band, taking a wide, thin grid's
-unknowns column by column when that narrows the band enough.
+with one factorization per solve; up to ``PINNED_UNKNOWNS`` unknowns it
+is kept for the last few (operators, dt) pairs in the process and reused
+by every solve with that step.  ``_factorize``, which factors the denoise
+system too, picks the factorization from the system's size and band,
+taking a wide, thin grid's unknowns column by column when that narrows the
+band enough.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ _BOUNDARY_TOL = 1e-9
 
 # Largest system, in interior unknowns (a 51 x 51 grid), whose results stay
 # pinned bit for bit: up to it the time-step and denoise factors are ordered
-# by COLAMD and the POD correlation matrix is one GEMM (pod.correlation_matrix).
+# by COLAMD, the time-step factors are kept between solves, and a snapshot set
+# stores its quotients, its correlation matrix one GEMM (pod.correlation_matrix).
 PINNED_UNKNOWNS = 2401
 
 # Largest band, (bandwidth + 1) x unknowns entries, that _factorize factors
@@ -285,8 +287,8 @@ def _factorize(system: sp.spmatrix, shape: tuple):
 @functools.lru_cache(maxsize=4)
 def _stepper(ops: DiscreteOperators, dt: float):
     """(``_factorize`` of the interior mass + dt * stiffness, interior mass),
-    built on the first solve with this (ops, dt) and kept for the last 4
-    such pairs in the process."""
+    kept for the last 4 (ops, dt) pairs in the process; ``solve_forward``
+    calls the uncached ``_stepper.__wrapped__`` above ``PINNED_UNKNOWNS``."""
     idx = ops.interior
     try:
         lu = _factorize((ops.mass + dt * ops.stiffness)[np.ix_(idx, idx)],
@@ -339,8 +341,9 @@ def solve_forward(ops: DiscreteOperators, tg: TimeGrid,
     ops : DiscreteOperators
         Assembled operators on the target grid.
     tg : TimeGrid
-        Time discretization; the system matrix is factorized once per
-        (ops, dt) and reused for all M steps and all later solves.
+        Time discretization; the system matrix is factorized once for all
+        M steps and, up to ``PINNED_UNKNOWNS`` interior unknowns, kept for
+        later solves with the same (ops, dt).
     f, g : ndarray
         Nodal source term and initial state; both must vanish on the
         boundary (roundoff-level residues are projected to zero).
@@ -367,7 +370,7 @@ def solve_forward(ops: DiscreteOperators, tg: TimeGrid,
 
     idx = ops.interior
     dt = tg.dt
-    lu, mass_ii = _stepper(ops, dt)
+    lu, mass_ii = (_stepper if idx.size <= PINNED_UNKNOWNS else _stepper.__wrapped__)(ops, dt)
     load = dt * (ops.mass @ f)[idx]
 
     states[:, grid.boundary] = 0.0

@@ -11,16 +11,15 @@ can store just those, straight into the first rows of the snapshot matrix
 of snapshot rows at a time: the memory of the snapshot path grows with
 ``max_snapshots * n_nodes``, not with M.  Up to ``fem.PINNED_UNKNOWNS``
 interior unknowns K is one GEMM against the whole mass product, which
-keeps its bits; above, K is filled a block of columns at a time from one
-reused buffer of mass products, written a snapshot at a time, so the only
-snapshot-sized array is the snapshot matrix itself and no block of it is
-copied.
+keeps its bits; above, a snapshot set stores only its states, K and the
+modes form the quotients a block at a time into one reused buffer, and K
+is filled a block of columns at a time from another, of mass products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 import scipy.linalg
@@ -34,17 +33,29 @@ _MASS_BLOCK_ROWS = 32  # snapshot rows per sparse mass product
 
 @dataclass(frozen=True, eq=False)
 class SnapshotSet:
-    """States y_1..y_{M+1} followed by difference quotients y_{M+2}..y_{2M+1}."""
+    """States y_1..y_{m+1} followed by difference quotients y_{m+2}..y_{2m+1};
+    with m+1 ``rows`` only the states are stored."""
 
-    snapshots: np.ndarray       # (2M+1, n_nodes), states first
+    rows: np.ndarray            # (2m+1 or m+1, n_nodes), states first
     ops: DiscreteOperators
-    m_steps: int                # M of the (possibly subsampled) time grid
+    m_steps: int                # m, the steps of the (possibly subsampled) time grid
     times: np.ndarray           # sample times of the states
     max_snapshots: int          # the budget the states were sampled to
 
+    def __len__(self) -> int:     # snapshots, stored or not
+        return 2 * self.m_steps + 1
+
     @property
     def states(self) -> np.ndarray:
-        return self.snapshots[: self.m_steps + 1]
+        return self.rows[: self.m_steps + 1]
+
+    @property
+    def snapshots(self) -> np.ndarray:
+        """The (2m+1, n_nodes) snapshot matrix, ``rows`` or a new array."""
+        if len(self.rows) == len(self):
+            return self.rows
+        quotients = _quotients(self.rows, self.times, 0, np.empty_like(self.rows[1:]))
+        return np.concatenate([self.rows, quotients])
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,29 +143,56 @@ def collect_snapshots(traj: Trajectory, ops: DiscreteOperators,
     gaps.
 
     ``out=None`` copies the states from the trajectory into a new
-    snapshot matrix.  Otherwise ``out`` is the (2M'+1, n_nodes) snapshot
-    matrix (a writeable C-contiguous float64 array) whose first M'+1 rows
-    already are the trajectory's states, solved into them with
-    ``steps=snapshot_steps(M, max_snapshots), out=out[:M'+1]``; only the
-    quotients are formed, in place below them.
+    snapshot matrix.  Otherwise ``out`` (a writeable C-contiguous float64
+    array) already holds the trajectory's states as its first M'+1 rows,
+    solved into them with ``steps=snapshot_steps(M, max_snapshots),
+    out=out[:M'+1]``: with 2M'+1 rows the quotients go below them, with
+    M'+1 none is stored.
     """
     idx = snapshot_steps(traj.tg.M, max_snapshots)
     if not np.all(np.isin(idx, traj.steps)):
         raise ValueError("trajectory does not store the states at the snapshot steps")
     times = traj.tg.times[idx]
     m = len(idx) - 1
-    snapshots = out_array(out, (2 * m + 1, traj.states.shape[1]))
-    states, quotients = snapshots[:m + 1], snapshots[m + 1:]
+    count = m + 1 if getattr(out, "shape", ())[:1] == (m + 1,) else 2 * m + 1
+    rows = out_array(out, (count, traj.states.shape[1]))
+    states = rows[:m + 1]
     if out is None:
         for i, row in enumerate(np.searchsorted(traj.steps, idx)):
             states[i] = traj.states[row]    # row copies: no gathered temporary
     elif not (traj.states.shape == states.shape and traj.states.strides == states.strides
               and traj.states.ctypes.data == states.ctypes.data):
         raise ValueError("out must hold the trajectory's states as its first rows")
-    np.subtract(states[1:], states[:-1], out=quotients)
-    quotients /= np.diff(times)[:, None]
-    return SnapshotSet(snapshots=snapshots, ops=ops, m_steps=m, times=times,
+    if count > m + 1:
+        _quotients(states, times, 0, rows[m + 1:])
+    return SnapshotSet(rows=rows, ops=ops, m_steps=m, times=times,
                        max_snapshots=max_snapshots)
+
+
+def _quotients(states: np.ndarray, times: np.ndarray, first: int, out: np.ndarray):
+    """``out`` filled with the quotients (y_{k+1} - y_k) / (t_{k+1} - t_k) of
+    the states from k = first on; a row's bits do not depend on its block."""
+    stop = first + len(out)
+    np.subtract(states[first + 1:stop + 1], states[first:stop], out=out)
+    out /= np.diff(times[first:stop + 1])[:, None]
+    return out
+
+
+def _row_blocks(Y, size: Optional[int] = None, out: Optional[np.ndarray] = None,
+                stop: Optional[int] = None) -> Iterator[tuple]:
+    """(first row, rows) blocks of the snapshot matrix Y (array or set) up
+    to row ``stop``: stored rows as views of ``size`` rows (None: one view),
+    then a states-only set's quotients, ``_MASS_BLOCK_ROWS`` at a time, in
+    ``out`` (None: a new buffer), which each such block overwrites."""
+    stored = Y.rows if isinstance(Y, SnapshotSet) else Y
+    stop = len(Y) if stop is None else stop
+    for start in range(0, min(len(stored), stop), size or len(stored)):
+        yield start, stored[start:start + (size or len(stored))]
+    if out is None and stop > len(stored):
+        out = np.empty((min(_MASS_BLOCK_ROWS, len(Y) - len(stored)), stored.shape[1]))
+    for first in range(0, stop - len(stored), _MASS_BLOCK_ROWS):
+        yield len(stored) + first, _quotients(stored, Y.times, first,
+                                              out[:len(Y) - len(stored) - first])
 
 
 def _mass_product(mass, Y: np.ndarray) -> np.ndarray:
@@ -169,8 +207,9 @@ def _mass_product(mass, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-def correlation_matrix(Y: np.ndarray, ops: DiscreteOperators) -> np.ndarray:
-    """Dense symmetric K_ij = (y_i, y_j) of the rows of Y in the mass inner product.
+def correlation_matrix(Y, ops: DiscreteOperators) -> np.ndarray:
+    """Dense symmetric K_ij = (y_i, y_j) of the snapshot matrix Y (an array
+    of one snapshot per row, or a ``SnapshotSet``) in the mass inner product.
 
     Up to ``PINNED_UNKNOWNS`` interior unknowns K = Y (M Y^T) is a single
     GEMM, because splitting it into blocks changes the rounding of its
@@ -179,17 +218,25 @@ def correlation_matrix(Y: np.ndarray, ops: DiscreteOperators) -> np.ndarray:
     never built: the rows M y_i of one block are written, a snapshot at a
     time, into a single (_MASS_BLOCK_ROWS, n_nodes) buffer reused by every
     block, so no block of Y is copied and no block product is allocated.
-    K then agrees with the single GEMM to roundoff."""
+    A states-only set's quotients enter from one more buffer, only down to
+    each block's diagonal, and K's upper triangle is mirrored.  K then
+    agrees with the single GEMM to roundoff."""
     if ops.interior.size <= PINNED_UNKNOWNS:
+        Y = Y.snapshots if isinstance(Y, SnapshotSet) else Y
         K = Y @ _mass_product(ops.mass, Y)
     else:
-        K = np.empty((Y.shape[0], Y.shape[0]))
-        buf = np.empty((min(_MASS_BLOCK_ROWS, Y.shape[0]), Y.shape[1]))
-        for start in range(0, Y.shape[0], _MASS_BLOCK_ROWS):
-            stop = min(start + _MASS_BLOCK_ROWS, Y.shape[0])
-            for i in range(start, stop):
-                buf[i - start] = ops.mass @ Y[i]
-            K[:, start:stop] = Y @ buf[:stop - start].T
+        K = np.empty((len(Y), len(Y)))
+        buf = np.empty((min(_MASS_BLOCK_ROWS, len(Y)), ops.grid.n_nodes))
+        spare = (np.empty_like(buf) if isinstance(Y, SnapshotSet) and len(Y.rows) < len(Y)
+                 else None)
+        for start, block in _row_blocks(Y, _MASS_BLOCK_ROWS, buf):
+            stop = start + len(block)
+            for i, y in enumerate(block):
+                buf[i] = ops.mass @ y
+            for first, rows in _row_blocks(Y, out=spare, stop=stop):
+                K[first:first + len(rows), start:stop] = rows @ buf[:len(block)].T
+        if spare is not None:
+            K = np.triu(K) + np.triu(K, 1).T
     return 0.5 * (K + K.T)
 
 
@@ -198,10 +245,11 @@ def _tail_ratio(lams: np.ndarray, n: int) -> float:
     return float(lams[n:].sum() / lams.sum())
 
 
-def compute_pod_basis(Y: np.ndarray, n_modes: Optional[int] = None,
+def compute_pod_basis(Y, n_modes: Optional[int] = None,
                       energy_tol: Optional[float] = None, *, ops: DiscreteOperators,
                       provenance: Optional[dict] = None) -> PodBasis:
-    """Method-of-snapshots basis of the snapshot matrix Y (one snapshot per row).
+    """Method-of-snapshots basis of the snapshot matrix Y (one snapshot per
+    row), an array or a ``SnapshotSet``.
 
     Every retained mode is formed; ``PodBasis.size`` keeps ``n_modes`` of them or,
     by ``energy_tol``, the fewest (at most the retained rank) whose rho is <= it.
@@ -215,7 +263,12 @@ def compute_pod_basis(Y: np.ndarray, n_modes: Optional[int] = None,
         raise ValueError("snapshot set carries no energy (all snapshots zero)")
 
     rank = int(np.sum(lams >= RANK_CUTOFF * lams[0]))
-    psi = Y.T @ (vecs[:, :rank] / np.sqrt(lams[:rank]))
+    weights = vecs[:, :rank] / np.sqrt(lams[:rank])
+    blocks = _row_blocks(Y)
+    _, stored = next(blocks)
+    psi = stored.T @ weights[:len(stored)]
+    for first, rows in blocks:
+        psi += rows.T @ weights[first:first + len(rows)]
 
     # one stabilized re-orthonormalization pass (modified Gram-Schmidt in
     # the mass inner product) to repair drift from the small eigenvalues

@@ -7,7 +7,7 @@ through m: as a noise-free run's clean final state, or through the denoise
 weight that ``alpha = auto`` takes from the truth's smoothness.
 ``snapshot_set`` runs such a solve for any driving field, the truth
 included (the inverse-crime baseline), and is the one place that lays out
-the snapshot matrix.  The reduced model then realizes the final-time
+the snapshot set.  The reduced model then realizes the final-time
 solution operator as a small dense matrix acting on basis coefficients.
 """
 
@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .fem import DiscreteOperators, TimeGrid, Trajectory, conform_dirichlet, solve_forward
+from .fem import (PINNED_UNKNOWNS, DiscreteOperators, TimeGrid, Trajectory,
+                  conform_dirichlet, solve_forward)
 from .pod import (MAX_SNAPSHOTS, PodBasis, SnapshotSet, collect_snapshots,
                   compute_pod_basis, snapshot_steps)
 from .spectral import ProblemKind
@@ -60,14 +61,14 @@ def snapshot_set(kind: ProblemKind, field: np.ndarray, ops: DiscreteOperators,
                  tg: TimeGrid, max_snapshots: int = MAX_SNAPSHOTS) -> SnapshotSet:
     """Snapshot set of the heat equation driven by ``field`` as in ``drive``.
 
-    Allocates the one (2m+1, n_nodes) snapshot matrix Y, m+1 the number of
-    ``snapshot_steps(M, max_snapshots)``.  The solve writes the sampled
-    states straight into Y's first m+1 rows and the difference quotients
-    are formed in place below them, so no trajectory-sized buffer exists
-    besides Y.
+    The solve writes the m+1 states of ``snapshot_steps(M, max_snapshots)``
+    straight into the one array the set holds: up to ``PINNED_UNKNOWNS``
+    interior unknowns the (2m+1, n_nodes) snapshot matrix, with the
+    quotients formed in place below the states; above, the states alone.
     """
     steps = snapshot_steps(tg.M, max_snapshots)
-    Y = np.empty((2 * len(steps) - 1, ops.grid.n_nodes))
+    rows = 2 * len(steps) - 1 if ops.interior.size <= PINNED_UNKNOWNS else len(steps)
+    Y = np.empty((rows, ops.grid.n_nodes))
     return collect_snapshots(drive(kind, field, ops, tg, steps=steps, out=Y[:len(steps)]),
                              ops, max_snapshots=max_snapshots, out=Y)
 
@@ -112,7 +113,7 @@ def _pod_basis(kind: ProblemKind, snaps: SnapshotSet, n_modes: Optional[int],
         "max_snapshots": snaps.max_snapshots,
         "inverse_crime": inverse_crime,
     }
-    return compute_pod_basis(snaps.snapshots, n_modes=n_modes, energy_tol=energy_tol,
+    return compute_pod_basis(snaps, n_modes=n_modes, energy_tol=energy_tol,
                              ops=snaps.ops, provenance=provenance)
 
 

@@ -27,7 +27,7 @@ from .experiment import (ExperimentConfig, StageError, auto_lambda,
                          build_problem, detector_nodes,
                          hminus1_surrogate_error, load_config,
                          parse_coefficient, parse_detector_spec,
-                         relative_l2_error, run_example, run_experiment)
+                         relative_l2_error, run_experiment)
 from .serialize import (read_field_csv, read_json, read_matrix_csv,
                         read_measurements_csv, write_field_csv, write_json,
                         write_matrix_csv, write_measurements_csv,

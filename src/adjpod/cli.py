@@ -2,8 +2,8 @@
 
 Subcommands cover the individual pipeline pieces (``forward``,
 ``adjoint-pod``, ``denoise``, ``invert``), the analytic cross-checks
-(``verify-theory``), the named experiment presets (``run-example``), and a
-parallel configuration sweep (``sweep``).  Every command exits 0 exactly
+(``verify-theory``), and a parallel configuration sweep (``sweep``), which
+also runs the paper's studies in ``studies/``.  Every command exits 0 exactly
 when the checks it asserts all pass.
 """
 
@@ -19,10 +19,9 @@ from typing import Optional
 import numpy as np
 
 from . import inversion, serialize
-from .experiment import (_CONFIG_KEYS, DEFAULT_T, EXAMPLE_LABELS, STUDY_SCALE,
-                         ExperimentConfig, StageError, _nonzero_shape, _pod_size,
-                         _parsed, build_problem, load_config, run_example,
-                         run_experiment)
+from .experiment import (_CONFIG_KEYS, DEFAULT_T, STUDY_SCALE, ExperimentConfig,
+                         StageError, _non_negative, _nonzero_shape, _parsed, _pod_size,
+                         build_problem, load_config, run_experiment)
 from .reduced import ORTHO_TOL, build_adjoint_pod, drive
 from .shapes import list_shapes
 from .spectral import ProblemKind, SpectralCoefficients, distinct_mu_subset, mode_table
@@ -143,6 +142,8 @@ def _cmd_adjoint_pod(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_denoise(args) -> int:
+    if args.sigma is not None and not _non_negative(args.sigma):
+        raise ValueError(f"--sigma must be finite and >= 0, got {args.sigma}")
     # denoising is stationary: the kind and time grid go unused
     _, grid, ops, _ = build_problem("source", args.nx, args.ny, None, 1, args.q, args.c)
     detectors, readings = serialize.read_measurements_csv(args.measurements)
@@ -238,22 +239,6 @@ def _cmd_verify_theory(args) -> int:
         serialize.write_json(os.path.join(args.out, "verify_theory.json"),
                              {"records": records, "passed": bool(all_ok)})
     return 0 if all_ok else 1
-
-
-# --------------------------------------------------------------------------
-# run-example
-# --------------------------------------------------------------------------
-
-def _cmd_run_example(args) -> int:
-    seed = {} if args.seed is None else {"seed": args.seed}
-    base = ExperimentConfig(**_scale(args), **seed)
-    out = args.out if args.out is not None else f"example_{args.label}"
-    summary = run_example(args.label, out, base)
-    for check in summary["checks"]:
-        _report(f"example {args.label}: {check['name']}", check["passed"],
-                str(check["detail"]))
-    print(f"artifacts in {out}")
-    return 0 if summary["passed"] else 1
 
 
 # --------------------------------------------------------------------------
@@ -369,13 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ny", type=int, default=ExperimentConfig.ny)
     p.add_argument("--out", default=None, help="directory for the JSON report")
     p.set_defaults(handler=_cmd_verify_theory)
-
-    p = sub.add_parser("run-example", help="named experiment preset")
-    p.add_argument("label", choices=list(EXAMPLE_LABELS))
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    _add_full_scale_flag(p)
-    p.set_defaults(handler=_cmd_run_example)
 
     p = sub.add_parser("sweep", help="run several configs in parallel")
     p.add_argument("configs", nargs="+", help="INI config files")

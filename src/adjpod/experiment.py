@@ -30,7 +30,7 @@ import functools
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
 import numpy as np
@@ -596,179 +596,3 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
                          {"forward_reused": forward_reused, "stage_s": stage_s})
     return metrics
 
-
-# ---------------------------------------------------------------------------
-# Named experiment presets.
-#
-# Each preset composes one or more pipeline runs, writes per-run artifacts
-# under the output root, and returns a summary with explicit pass/fail
-# checks.  Labels follow the study numbering used across this project's
-# notebooks: 4.1-4.3 are inverse-source studies, 4.4-4.6 are backward
-# studies, 4.7 reuses a source-pipeline basis on the backward problem.
-# ---------------------------------------------------------------------------
-
-NOISE_PRESETS = (0.10, 0.25, 0.50)
-
-
-def _check(name: str, passed, detail) -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}
-
-
-def _run(base: ExperimentConfig, out_root: str, tag: str, **changes) -> dict:
-    cfg = replace(base, **changes) if changes else base
-    return run_experiment(cfg, os.path.join(out_root, tag))
-
-
-def _recovery_error(metrics: dict) -> float:
-    return metrics["recovery"]["rel_l2_error"]
-
-
-def _example_basis_importance(base, out_root, kind, adjoint_tol):
-    """Same data, three bases: adjoint, and two deliberately wrong drivers."""
-    common = dict(kind=kind, truth="sin2exp", noise=0.0)
-    adj = _run(base, out_root, "adjoint", basis="adjoint", **common)
-    sin1 = _run(base, out_root, "foreign_sin1", basis="foreign:sin1", **common)
-    glyph = _run(base, out_root, "foreign_glyphA", basis="foreign:glyphA", **common)
-    e_adj, e_sin1, e_glyph = map(_recovery_error, (adj, sin1, glyph))
-    checks = [
-        _check("adjoint-basis recovery error within tolerance",
-               e_adj <= adjoint_tol, {"error": e_adj, "tolerance": adjoint_tol}),
-        _check("sin1-driven foreign basis at least 5x worse",
-               e_sin1 >= 5.0 * e_adj, {"foreign": e_sin1, "adjoint": e_adj}),
-    ]
-    return {"checks": checks,
-            "errors": {"adjoint": e_adj, "foreign_sin1": e_sin1,
-                       "foreign_glyphA": e_glyph}}
-
-
-def _example_basis_comparison(base, out_root, kind, smooth_truth, glyph_truth,
-                              smooth_tol, angle_tol):
-    """Adjoint basis vs the inverse-crime baseline on a smooth and a glyph
-    truth; the smooth case carries the quantitative checks."""
-    results = {}
-    for truth in (smooth_truth, glyph_truth):
-        adj = _run(base, out_root, f"{truth}_adjoint",
-                   kind=kind, truth=truth, basis="adjoint", noise=0.0)
-        trad = _run(base, out_root, f"{truth}_traditional",
-                    kind=kind, truth=truth, basis="traditional", noise=0.0)
-        results[truth] = {
-            "adjoint_error": _recovery_error(adj),
-            "traditional_error": _recovery_error(trad),
-            "largest_principal_angle": adj["basis"]["largest_angle_vs_traditional"],
-        }
-    smooth = results[smooth_truth]
-    checks = [
-        _check("adjoint-basis recovery error within tolerance",
-               smooth["adjoint_error"] <= smooth_tol,
-               {"error": smooth["adjoint_error"], "tolerance": smooth_tol}),
-        _check("inverse-crime baseline recovery error within tolerance",
-               smooth["traditional_error"] <= smooth_tol,
-               {"error": smooth["traditional_error"], "tolerance": smooth_tol}),
-        _check("glyph-truth recoveries are finite",
-               np.isfinite(results[glyph_truth]["adjoint_error"]) and
-               np.isfinite(results[glyph_truth]["traditional_error"]),
-               results[glyph_truth]),
-    ]
-    if angle_tol is not None:
-        # Compared at the dominant-energy rank; trailing near-degenerate
-        # modes are numerically arbitrary and excluded from the assertion.
-        probe = _run(base, out_root, f"{smooth_truth}_angle_probe",
-                     kind=kind, truth=smooth_truth, basis="adjoint",
-                     noise=0.0, energy=1e-10)
-        angle = probe["basis"]["largest_angle_vs_traditional"]
-        checks.append(_check(
-            "largest principal angle vs traditional basis is small",
-            angle <= angle_tol, {"angle_rad": angle, "tolerance": angle_tol}))
-    return {"checks": checks, "results": results}
-
-
-def _example_noise_robustness(base, out_root, kind, truth):
-    """Recovery under increasing measurement noise with auto-selected
-    denoising; asserts what acceptance criterion 8 asserts of its medians:
-    finite errors, at most 1 at 50% noise, and no larger at 10% than at
-    50%."""
-    errors = {}
-    for p in NOISE_PRESETS:
-        tag = f"noise_{int(round(100 * p)):02d}"
-        metrics = _run(base, out_root, tag, kind=kind, truth=truth,
-                       basis="adjoint", noise=p, lam="auto")
-        errors[f"{p:.2f}"] = _recovery_error(metrics)
-    low, high = errors["0.10"], errors["0.50"]
-    checks = [
-        _check("recovery errors finite at every noise level",
-               all(np.isfinite(v) for v in errors.values()), errors),
-        _check("recovery error at 50% noise at most 1",
-               high <= 1.0, {"error": high, "tolerance": 1.0}),
-        _check("recovery error at 10% noise at most the error at 50%",
-               low <= high, {"10%": low, "50%": high}),
-    ]
-    return {"checks": checks, "errors": errors}
-
-
-def _example_cross_basis(base, out_root):
-    """Backward recovery using the basis built by the source-kind
-    auxiliary pipeline on the same measured data."""
-    cfg = replace(base, kind="backward", truth="glyphA", basis="adjoint",
-                  noise=0.0)
-    native = run_experiment(cfg, os.path.join(out_root, "native_backward"))
-
-    problem = build_problem(cfg.kind, cfg.nx, cfg.ny, cfg.T, cfg.M, cfg.q, cfg.c)
-    kind, grid, ops, tg = problem
-    truth_stage = _truth_stage(problem, cfg.truth, cfg.max_snapshots)
-    truth, m = truth_stage.field, truth_stage.final     # m is zero on the boundary
-
-    source_tg = TimeGrid(T=DEFAULT_T[ProblemKind.INVERSE_SOURCE], M=cfg.M)
-    basis = build_adjoint_pod(ProblemKind.INVERSE_SOURCE, m, ops, source_tg,
-                              n_modes=cfg.n_pod, max_snapshots=cfg.max_snapshots)
-    model = build_reduced_model(ops, basis, tg, kind)
-    recovered = inversion.tikhonov_direct(model, m, 1e-10)
-    serialize.write_field_csv(os.path.join(out_root, "cross_recovered.csv"),
-                              grid, recovered)
-
-    err_cross = relative_l2_error(ops, recovered, truth)
-    err_native = _recovery_error(native)
-    checks = [
-        _check("source-pipeline basis recovers within 2x of the native basis",
-               err_cross <= 2.0 * err_native,
-               {"cross": err_cross, "native": err_native}),
-    ]
-    return {"checks": checks,
-            "errors": {"native_backward": err_native,
-                       "source_basis_on_backward": err_cross}}
-
-
-# label -> (preset, its arguments)
-_EXAMPLES = {
-    "4.1": (_example_basis_importance, dict(kind="source", adjoint_tol=0.10)),
-    "4.2": (_example_basis_comparison,
-            dict(kind="source", smooth_truth="sin2", glyph_truth="glyphZ",
-                 smooth_tol=0.05, angle_tol=0.2)),
-    "4.3": (_example_noise_robustness, dict(kind="source", truth="sin2exp")),
-    "4.4": (_example_basis_importance, dict(kind="backward", adjoint_tol=0.10)),
-    # No angle assertion: backward-kind adjoint snapshots live one
-    # propagation interval deeper than the truth trajectory, so even
-    # energy-significant modes legitimately drift from the
-    # inverse-crime baseline; angles are reported, not asserted.
-    "4.5": (_example_basis_comparison,
-            dict(kind="backward", smooth_truth="sin2exp", glyph_truth="glyphA",
-                 smooth_tol=0.10, angle_tol=None)),
-    "4.6": (_example_noise_robustness, dict(kind="backward", truth="sin2")),
-    "4.7": (_example_cross_basis, {}),
-}
-EXAMPLE_LABELS = tuple(_EXAMPLES)
-
-
-def run_example(label: str, out_root: str,
-                base: Optional[ExperimentConfig] = None) -> dict:
-    """Run one named preset; returns (and writes) its check summary."""
-    if label not in EXAMPLE_LABELS:
-        raise ValueError(f"unknown example {label!r}; "
-                         f"choose from {', '.join(EXAMPLE_LABELS)}")
-    base = base if base is not None else ExperimentConfig()
-    os.makedirs(out_root, exist_ok=True)
-    preset, kwargs = _EXAMPLES[label]
-    summary = preset(base, out_root, **kwargs)
-    summary["label"] = label
-    summary["passed"] = all(c["passed"] for c in summary["checks"])
-    serialize.write_json(os.path.join(out_root, "summary.json"), summary)
-    return summary

@@ -96,14 +96,9 @@ class PodBasis:
         """Modes a basis-size selector keeps: exactly one of ``n_modes`` (a
         count, clipped to the retained rank) and ``energy_tol`` (the fewest
         modes, at most the retained rank, whose tail ratio ``rho`` is <= it)."""
-        if (n_modes is None) == (energy_tol is None):
-            raise ValueError("select the basis size with exactly one of n_modes / energy_tol")
+        check_size_selector(n_modes, energy_tol)
         if n_modes is not None:
-            if n_modes < 1:
-                raise ValueError("n_modes must be >= 1")
             return min(n_modes, self.retained_rank)
-        if not (np.isfinite(energy_tol) and energy_tol >= 0):
-            raise ValueError(f"energy_tol must be finite and >= 0, got {energy_tol}")
         return next((n for n in range(1, self.retained_rank)
                      if _tail_ratio(self.eigenvalues, n) <= energy_tol), self.retained_rank)
 
@@ -112,6 +107,18 @@ class PodBasis:
         if not 1 <= n <= self.n_pod:
             raise ValueError(f"truncation count must lie in [1, {self.n_pod}]")
         return replace(self, psi=self.psi[:, :n])
+
+
+def check_size_selector(n_modes: Optional[int], energy_tol: Optional[float]) -> None:
+    """Reject a basis-size selector ``PodBasis.size`` cannot apply: not exactly
+    one of ``n_modes`` and ``energy_tol``, a count below 1, or a negative or
+    non-finite tolerance."""
+    if (n_modes is None) == (energy_tol is None):
+        raise ValueError("select the basis size with exactly one of n_modes / energy_tol")
+    if n_modes is not None and n_modes < 1:
+        raise ValueError("n_modes must be >= 1")
+    if energy_tol is not None and not (np.isfinite(energy_tol) and energy_tol >= 0):
+        raise ValueError(f"energy_tol must be finite and >= 0, got {energy_tol}")
 
 
 def snapshot_steps(M: int, max_snapshots: int = MAX_SNAPSHOTS) -> np.ndarray:

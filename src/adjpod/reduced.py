@@ -21,8 +21,8 @@ import scipy.linalg
 
 from .fem import (PINNED_UNKNOWNS, DiscreteOperators, TimeGrid, Trajectory,
                   conform_dirichlet, solve_forward)
-from .pod import (MAX_SNAPSHOTS, PodBasis, SnapshotSet, collect_snapshots,
-                  compute_pod_basis, snapshot_steps)
+from .pod import (MAX_SNAPSHOTS, PodBasis, SnapshotSet, check_size_selector,
+                  collect_snapshots, compute_pod_basis, snapshot_steps)
 from .spectral import ProblemKind
 
 ORTHO_TOL = 1e-10  # largest entry of |Psi^T M Psi - I| a mass-orthonormal basis may show
@@ -80,9 +80,11 @@ def build_adjoint_pod(kind: ProblemKind, m: np.ndarray, ops: DiscreteOperators,
                       driver_label: str = "measured-data") -> PodBasis:
     """Measurement-driven basis: auxiliary solve -> snapshots -> POD.
 
-    A non-finite m is rejected as the measurement field.  Boundary residue
-    on m (for example left over from denoising) is projected to zero before
-    m drives ``snapshot_set``."""
+    A malformed size selector (see ``PodBasis.size``) and a non-finite m,
+    named as the measurement field, are rejected before the auxiliary
+    solve.  Boundary residue on m (for example left over from denoising) is
+    projected to zero before m drives ``snapshot_set``."""
+    check_size_selector(n_modes, energy_tol)
     field = _measurement_field(m, ops)
     if not np.any(field):
         raise ValueError("measurement field is identically zero: no snapshot energy")

@@ -10,7 +10,10 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
-from adjpod import CoefficientSet, assemble_operators, build_grid
+from adjpod import CoefficientSet, assemble_operators, build_grid, read_json
+from adjpod.cli import main
+
+STUDIES = Path(__file__).resolve().parents[1] / "studies"
 
 
 @pytest.fixture
@@ -47,3 +50,19 @@ def artifact_tree():
         return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
                 if p.is_file() and p.name != "timings.json"}
     return tree
+
+
+@pytest.fixture(scope="session")
+def sweep_study():
+    """``sweep_study(label, out, *overrides)`` runs ``adjpod sweep
+    studies/<label>/*.ini --out out --jobs 1``, each override a ``--set``,
+    and returns {run directory name: its metrics.json}."""
+    def sweep(label, out, *overrides) -> dict:
+        configs = sorted((STUDIES / label).glob("*.ini"))
+        argv = ["sweep", *map(str, configs), "--out", str(out), "--jobs", "1"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        return {path.stem: read_json(Path(out) / path.stem / "metrics.json")
+                for path in configs}
+    return sweep

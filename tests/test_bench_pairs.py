@@ -101,3 +101,21 @@ def test_only_the_named_workloads_are_paired(monkeypatch, capsys, named):
     assert invoked == [name for name in paired for _ in range(2 * bench_pairs.PAIRS)]
     assert [line.split()[0] for line in capsys.readouterr().out.splitlines()
             if not line.startswith(" ")] == paired
+
+
+def test_a_worse_metric_fails_the_run_and_names_it(monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "_export", lambda rev, into: None)
+
+    def invoke(workload, seed, trace, checkout):
+        # the change runs half as many runs per second; every other metric ties
+        slow = checkout == bench_pairs.ROOT
+        return {"result": {"metrics": {
+            entry["name"]: {"value": 0.5 if slow and entry["name"] == "runs_per_s" else 1.0}
+            for entry in BENCHMARK["end_to_end"]}}}
+
+    monkeypatch.setattr(bench_pairs, "invoke", invoke)
+    with pytest.raises(SystemExit) as stopped:
+        bench_pairs.main("HEAD", ["stretch_source", "gradient_backward"])
+    assert stopped.value.code == "worse: stretch_source runs_per_s, gradient_backward runs_per_s"
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.split()[0] == "runs_per_s" and line.endswith("worse") for line in lines) == 2

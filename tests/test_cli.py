@@ -1,5 +1,7 @@
 """Command-line entry points, driven in-process through main()."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from adjpod import add_noise, build_grid, make_shape, read_json
 from adjpod import serialize
 from adjpod.cli import build_parser, main
 
+ROOT = Path(__file__).resolve().parents[1]
 _SMALL = ["--nx", "17", "--ny", "17", "--M", "10"]
 
 
@@ -139,10 +142,13 @@ def test_denoise_auto_alpha_requires_sigma(tmp_path, capsys):
     (["--alpha", "1e-6", "--nx", "13", "--ny", "13"], "of the 13x13 grid"),
     (["--alpha", "-1"], "FAIL  --alpha takes 'auto' or a positive number, got '-1'"),
     (["--alpha", "0"], "FAIL  --alpha takes 'auto' or a positive number, got '0'"),
+    (["--alpha", "1e-6", "--sigma", "-5"], "FAIL  --sigma must be finite and >= 0, got -5.0"),
+    (["--sigma", "nan"], "FAIL  --sigma must be finite and >= 0, got nan"),
 ])
 def test_denoise_rejects_what_invert_rejects(tmp_path, capsys, flags, named):
-    """A weight that fits a zero field, a weight that is no positive number
-    and a detector off the grid each fail naming what is wrong."""
+    """A weight that fits a zero field, a weight that is no positive number,
+    a detector off the grid and a noise scale that is no finite number >= 0
+    each fail naming what is wrong."""
     meas, _ = _write_measurements(tmp_path)
     out = tmp_path / "dn"
     code = main(["denoise", "--measurements", meas, "--nx", "17", "--ny", "17",
@@ -239,13 +245,15 @@ def test_verify_theory_rejects_non_integer_levels(capsys):
     assert "Traceback" not in text
 
 
-def test_run_example_cross_basis(tmp_path, capsys):
-    out = tmp_path / "ex47"
-    code = main(["run-example", "4.7", "--out", str(out)])
+def test_sweep_runs_a_study_directory(tmp_path, capsys):
+    study = ROOT / "studies" / "4.7"
+    out = tmp_path / "4.7"
+    code = main(["sweep", *map(str, sorted(study.glob("*.ini"))), "--out", str(out)])
     assert code == 0
-    assert read_json(out / "summary.json")["passed"] is True
+    assert read_json(out / "sweep.json")["passed"] is True
+    assert (out / "native_backward" / "metrics.json").is_file()
     stdout = capsys.readouterr().out
-    assert "example 4.7" in stdout and "PASS" in stdout
+    assert f"PASS  sweep config {study / 'native_backward.ini'}" in stdout
 
 
 def test_sweep_runs_configs_in_parallel(tmp_path, capsys):
@@ -345,11 +353,9 @@ def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, monkeypatch, jobs):
     assert _RecordingPool.sizes == [] and not out.exists()
 
 
-def test_cli_rejects_missing_subcommand_and_bad_label():
+def test_cli_rejects_a_missing_subcommand():
     with pytest.raises(SystemExit):
         main([])
-    with pytest.raises(SystemExit):
-        main(["run-example", "9.9"])
 
 
 def _default_jobs():

@@ -30,13 +30,8 @@ def sizes(monkeypatch):
         seen.append((cfg.nx, cfg.ny, cfg.M))
         raise _Stop
 
-    def example(label, out_root, base=None):
-        seen.append((base.nx, base.ny, base.M))
-        raise _Stop
-
     monkeypatch.setattr(cli, "build_problem", problem)
     monkeypatch.setattr(cli, "run_experiment", run)
-    monkeypatch.setattr(cli, "run_example", example)
     return seen
 
 
@@ -51,7 +46,6 @@ COMMANDS = {
     "forward": ["forward", "--input", "sin1"],
     "adjoint-pod": ["adjoint-pod", "--data", "sin1"],
     "invert": ["invert"],
-    "run-example": ["run-example", "4.1"],
 }
 STUDY = (STUDY_SCALE["nx"], STUDY_SCALE["ny"], STUDY_SCALE["M"])
 DESK = (ExperimentConfig.nx, ExperimentConfig.ny, ExperimentConfig.M)

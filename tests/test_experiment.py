@@ -1,12 +1,18 @@
 """Config plumbing and the end-to-end experiment pipeline."""
 
+import functools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from adjpod import (ExperimentConfig, StageError, build_grid, detector_nodes,
-                    hminus1_surrogate_error, load_config, parse_coefficient,
-                    parse_detector_spec, read_json, run_example,
-                    run_experiment)
+from adjpod import (ExperimentConfig, StageError, TimeGrid, build_adjoint_pod, build_grid,
+                    build_problem, build_reduced_model, detector_nodes,
+                    hminus1_surrogate_error, load_config, make_shape, parse_coefficient,
+                    parse_detector_spec, read_json, relative_l2_error, run_experiment,
+                    snapshot_set, tikhonov_direct)
+
+STUDIES = Path(__file__).resolve().parents[1] / "studies"
 
 _FAST = dict(nx=17, ny=17, M=10, n_pod=4, detectors="10x10")
 STAGES = ("setup", "truth", "forward", "measure", "denoise", "basis", "reduce",
@@ -227,36 +233,65 @@ def test_surrogate_error_vanishes_on_exact_recovery(desk_ops):
     assert hminus1_surrogate_error(desk_ops, 1.1 * truth, truth) > 0.0
 
 
-def test_run_example_label_validation(tmp_path):
-    with pytest.raises(ValueError, match="4.1"):
-        run_example("9.9", str(tmp_path))
+def _errors(runs: dict) -> dict:
+    return {tag: metrics["recovery"]["rel_l2_error"] for tag, metrics in runs.items()}
 
 
-IMPORTANCE_CHECKS = ("adjoint-basis recovery error within tolerance",
-                     "sin1-driven foreign basis at least 5x worse")
-COMPARISON_CHECKS = ("adjoint-basis recovery error within tolerance",
-                     "inverse-crime baseline recovery error within tolerance",
-                     "glyph-truth recoveries are finite")
-PRESET_CHECKS = {
-    "4.1": IMPORTANCE_CHECKS,
-    "4.2": COMPARISON_CHECKS + ("largest principal angle vs traditional basis is small",),
-    "4.4": IMPORTANCE_CHECKS,
-    "4.5": COMPARISON_CHECKS,     # backward angles are reported, not asserted
+def _basis_importance(runs):
+    """The adjoint basis recovers within 0.10; the sin1-driven basis is at
+    least 5x worse."""
+    errors = _errors(runs)
+    assert errors["adjoint"] <= 0.10
+    assert errors["foreign_sin1"] >= 5.0 * errors["adjoint"]
+
+
+def _basis_comparison(runs, smooth, glyph, tol, angle_tol):
+    """Both bases recover the smooth truth within ``tol``, both glyph
+    recoveries are finite, and, given ``angle_tol``, the adjoint basis sized
+    to its dominant energy lies within that many radians of the inverse-crime
+    one (trailing near-degenerate modes are numerically arbitrary)."""
+    errors = _errors(runs)
+    assert errors[f"{smooth}_adjoint"] <= tol
+    assert errors[f"{smooth}_traditional"] <= tol
+    assert np.isfinite(errors[f"{glyph}_adjoint"])
+    assert np.isfinite(errors[f"{glyph}_traditional"])
+    if angle_tol is not None:
+        probe = runs[f"{smooth}_angle_probe"]["basis"]
+        assert probe["largest_angle_vs_traditional"] <= angle_tol
+
+
+STUDY_CHECKS = {
+    "4.1": _basis_importance,
+    "4.2": functools.partial(_basis_comparison, smooth="sin2", glyph="glyphZ",
+                             tol=0.05, angle_tol=0.2),
+    "4.4": _basis_importance,
+    # No angle check: backward-kind adjoint snapshots live one propagation
+    # interval deeper than the truth trajectory, so even energy-significant
+    # modes legitimately drift from the inverse-crime baseline.
+    "4.5": functools.partial(_basis_comparison, smooth="sin2exp", glyph="glyphA",
+                             tol=0.10, angle_tol=None),
 }
 
 
-@pytest.mark.parametrize("label", sorted(PRESET_CHECKS))
-def test_basis_importance_and_comparison_presets_pass(label, tmp_path):
-    summary = run_example(label, str(tmp_path / label), ExperimentConfig())
-    assert tuple(check["name"] for check in summary["checks"]) == PRESET_CHECKS[label]
-    assert summary["passed"] is True
+@pytest.mark.parametrize("label", sorted(STUDY_CHECKS))
+def test_basis_importance_and_comparison_presets_pass(label, tmp_path, sweep_study):
+    STUDY_CHECKS[label](sweep_study(label, tmp_path))
 
 
-def test_run_example_cross_basis_preset(tmp_path):
-    summary = run_example("4.7", str(tmp_path / "xbasis"))
-    assert summary["label"] == "4.7"
-    assert summary["passed"] is True
-    assert (tmp_path / "xbasis" / "summary.json").is_file()
-    assert (tmp_path / "xbasis" / "cross_recovered.csv").is_file()
-    errs = summary["errors"]
-    assert errs["source_basis_on_backward"] <= 2.0 * errs["native_backward"]
+def test_a_source_kind_basis_recovers_the_backward_truth_within_twice_native(
+        tmp_path, sweep_study):
+    """Study 4.7: on the basis of the source-kind auxiliary solve driven by
+    the same noise-free data, the backward truth is recovered within 2x of
+    the native run's error.  No config names that basis, so the recovery is
+    composed from the public stages."""
+    native = sweep_study("4.7", tmp_path)["native_backward"]["recovery"]["rel_l2_error"]
+    cfg = load_config(str(STUDIES / "4.7" / "native_backward.ini"))
+    kind, grid, ops, tg = build_problem(cfg.kind, cfg.nx, cfg.ny, cfg.T, cfg.M, cfg.q, cfg.c)
+    truth = make_shape(cfg.truth, grid)
+    m = snapshot_set(kind, truth, ops, tg, cfg.max_snapshots).states[-1]
+    source_tg = TimeGrid(T=ExperimentConfig(kind="source").final_time, M=cfg.M)
+    basis = build_adjoint_pod("source", m, ops, source_tg, n_modes=cfg.n_pod,
+                              max_snapshots=cfg.max_snapshots)
+    model = build_reduced_model(ops, basis, tg, kind)
+    cross = relative_l2_error(ops, tikhonov_direct(model, m, 1e-10), truth)
+    assert cross <= 2.0 * native

@@ -211,18 +211,56 @@ def test_forward_solve_rejects_a_nan_source(grid, ops):
         solve_forward(ops, TimeGrid(T=0.1, M=2), f=f, g=np.zeros(grid.n_nodes))
 
 
+def _record_solves(monkeypatch) -> list:
+    """Arguments of each fem.solve_forward call ``drive`` makes, by the name
+    it calls; no solve runs."""
+    solves = []
+    monkeypatch.setattr(adjpod.reduced, "solve_forward",
+                        lambda *args, **kwargs: solves.append(args))
+    return solves
+
+
 @pytest.mark.parametrize("kind", ["source", "backward"])
 @pytest.mark.parametrize("bad", BAD)
 def test_adjoint_pod_rejects_a_non_finite_measurement_field_before_solving(
         grid, ops, monkeypatch, kind, bad):
     m = np.sin(grid.coords[:, 0]) * np.sin(grid.coords[:, 1])
     m[grid.interior[2]] = bad
-    solves = []
-    monkeypatch.setattr(adjpod.reduced, "solve_forward",
-                        lambda *args, **kwargs: solves.append(args))
+    solves = _record_solves(monkeypatch)
     with pytest.raises(ValueError, match="measurement field must be finite"):
         build_adjoint_pod(kind, m, ops, TimeGrid(T=0.4, M=8), n_modes=4)
     assert solves == []
+
+
+@pytest.mark.parametrize("selector,named", [
+    (dict(n_modes=0), "n_modes must be >= 1"),
+    (dict(energy_tol=-1.0), "energy_tol must be finite and >= 0, got -1.0"),
+    *((dict(energy_tol=bad), f"energy_tol must be finite and >= 0, got {bad}") for bad in BAD),
+    (dict(n_modes=4, energy_tol=1e-6), "exactly one of n_modes / energy_tol"),
+    (dict(), "exactly one of n_modes / energy_tol"),
+])
+def test_adjoint_pod_rejects_a_malformed_size_selector_before_solving(
+        grid, ops, monkeypatch, selector, named):
+    solves = _record_solves(monkeypatch)
+    m = np.sin(grid.coords[:, 0]) * np.sin(grid.coords[:, 1])
+    with pytest.raises(ValueError, match=named):
+        build_adjoint_pod("source", m, ops, TimeGrid(T=0.4, M=8), **selector)
+    assert solves == []
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--n-pod", "0"], "FAIL  n_modes must be >= 1"),
+    (["--energy", "-1"], "FAIL  energy_tol must be finite and >= 0, got -1.0"),
+])
+def test_cli_adjoint_pod_rejects_a_malformed_size_before_solving(
+        tmp_path, capsys, monkeypatch, flags, named):
+    solves = _record_solves(monkeypatch)
+    out = tmp_path / "pod"
+    code = main(["adjoint-pod", "--data", "sin1", "--nx", "9", "--ny", "9", "--M", "4",
+                 "--out", str(out)] + flags)
+    assert code == 1
+    assert named in capsys.readouterr().err
+    assert solves == [] and not out.exists()
 
 
 def test_cli_forward_rejects_a_nan_field(tmp_path, capsys):

@@ -23,6 +23,7 @@ ORACLES = (
     "spectral_solution",    # spectral oracle: exact final-time modal coefficients
     "read_json",            # artifact reader: metrics.json and provenance files
     "read_matrix_csv",      # artifact reader: basis and reduced-operator CSVs
+    "tikhonov_direct",      # recovery from a full field: README's library use, study 4.7's test
 )
 
 ORACLE_MEMBERS = (

@@ -26,7 +26,7 @@ import pytest
 import adjpod.fem
 from adjpod import (CoefficientSet, ExperimentConfig, TimeGrid, assemble_operators,
                     build_grid, build_problem, make_shape, read_json,
-                    run_example, run_experiment, solve_forward)
+                    run_experiment, solve_forward)
 from adjpod import experiment, inversion, serialize
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -86,6 +86,10 @@ def cold(tmp_path_factory):
     return {name: root / name for name in cases}
 
 
+# the --set overrides that run a study at BASE's size, seed and detector layout
+BASE_SIZE = tuple(f"{experiment._CONFIG_KEYS[name]}={getattr(BASE, name)}"
+                  for name in ("nx", "ny", "M", "n_pod", "detectors", "seed"))
+
 # configs that together reach every stage and artifact kind of a run
 REPEATS = {
     "noisy_direct": BASE,
@@ -102,12 +106,13 @@ def _timings(path) -> dict:
 
 @pytest.mark.parametrize("case", [*REPEATS, *(f"preset_{label}" for label in
                                               ("4.1", "4.2", "4.4", "4.5", "4.7"))])
-def test_two_runs_of_one_config_write_the_same_tree(case, tmp_path, artifact_tree):
+def test_two_runs_of_one_config_write_the_same_tree(case, tmp_path, artifact_tree,
+                                                    sweep_study):
     for side in ("a", "b"):
         if case in REPEATS:
             run_experiment(REPEATS[case], str(tmp_path / side))
         else:
-            run_example(case.removeprefix("preset_"), str(tmp_path / side), BASE)
+            sweep_study(case.removeprefix("preset_"), tmp_path / side, *BASE_SIZE)
     assert artifact_tree(tmp_path / "a") == artifact_tree(tmp_path / "b")
     runs = sorted(path.parent for path in tmp_path.rglob("metrics.json"))
     assert runs and sorted(path.parent for path in tmp_path.rglob("timings.json")) == runs

@@ -11,7 +11,8 @@ pairs of the unmodified ``perfbench/run.py --trace 0`` through
 alternating which side runs first.  For each end-to-end metric it prints
 both medians with their quartiles, the pairs the change won, lost and tied
 (a tie, an equal value on both sides, counts for neither) and a verdict
-from ``verdict``.
+from ``verdict``.  It exits 1, naming each workload and metric that reads
+*worse*, once every workload has run, and 0 otherwise.
 """
 
 import io
@@ -74,6 +75,7 @@ def main(parent_rev: str, workloads: list) -> None:
     if unknown:
         sys.exit(f"unknown workload {', '.join(unknown)}; BENCHMARK.json lists "
                  f"{', '.join(known)}")
+    worse = []
     with tempfile.TemporaryDirectory() as parent_root:
         _export(parent_rev, parent_root)
         for workload in workloads or known:
@@ -94,6 +96,10 @@ def main(parent_rev: str, workloads: list) -> None:
                           v["change"]["median"], v["change"]["q1"], v["change"]["q3"],
                           v["wins"], v["losses"], v["ties"], PAIRS, v["verdict"]),
                       flush=True)
+                if v["verdict"] == "worse":
+                    worse.append(f"{workload} {name}")
+    if worse:
+        sys.exit(f"worse: {', '.join(worse)}")
 
 
 if __name__ == "__main__":

@@ -11,10 +11,10 @@ inversion in the reduced space.
 from .fem import (CoefficientSet, DiscreteOperators, TimeGrid, Trajectory,
                   assemble_operators, solve_forward)
 from .grid import DOMAIN_SIDE, Grid2D, build_grid
-from .inversion import (InverseConfig, MeasurementSet, add_noise, denoise,
-                        descent_step_bound, gradient_of_J, h2_norm_estimate,
-                        laplacian_stencil, select_alpha,
-                        snap_detectors_to_nodes, tikhonov_direct,
+from .inversion import (InverseConfig, MeasurementSet, Sampling, add_noise,
+                        denoise, descent_step_bound, gradient_of_J,
+                        h2_norm_estimate, laplacian_stencil, sampling,
+                        select_alpha, tikhonov_direct,
                         tikhonov_direct_reduced,
                         tikhonov_gradient_descent_reduced, tikhonov_objective)
 from .pod import (PodBasis, SnapshotSet, collect_snapshots, compute_pod_basis,

@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from . import inversion, serialize
-from .experiment import (_CONFIG_KEYS, DEFAULT_T, STUDY_SCALE, ExperimentConfig,
-                         StageError, _non_negative, _nonzero_shape, _parsed, _pod_size,
+from .experiment import (DEFAULT_T, ExperimentConfig, StageError, _non_negative,
+                         _nonzero_shape, _parsed, _pod_size,
                          build_problem, load_config, run_experiment)
 from .reduced import ORTHO_TOL, build_adjoint_pod, drive
 from .shapes import list_shapes
@@ -39,13 +39,6 @@ def _report(name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def _add_full_scale_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--full-scale", action="store_true",
-                   help="use the {nx}x{ny}, M={M} study scale instead of the "
-                        "{desk.nx}x{desk.ny}, M={desk.M} default".format(
-                            desk=ExperimentConfig, **STUDY_SCALE))
-
-
 def _add_coefficient_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", default=ExperimentConfig.q, help="diffusion coefficient spec")
     p.add_argument("--c", default=ExperimentConfig.c, help="reaction coefficient spec")
@@ -57,19 +50,11 @@ def _add_grid_time_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--T", type=float, default=None, help="final time")
     p.add_argument("--M", type=int, default=None, help="number of time steps")
     _add_coefficient_flags(p)
-    _add_full_scale_flag(p)
-
-
-def _scale(args) -> dict:
-    """The config fields ``--full-scale`` sets: the study scale, or none."""
-    return STUDY_SCALE if args.full_scale else {}
 
 
 def _grid_time_from(args) -> tuple:
-    # an explicit size wins over the scale, the scale over the config default
     nx, ny, m = (getattr(args, name) if getattr(args, name) is not None
-                 else _scale(args).get(name, getattr(ExperimentConfig, name))
-                 for name in ("nx", "ny", "M"))
+                 else getattr(ExperimentConfig, name) for name in ("nx", "ny", "M"))
     return build_problem(args.kind, nx, ny, args.T, m, args.q, args.c)
 
 
@@ -149,20 +134,21 @@ def _cmd_denoise(args) -> int:
     detectors, readings = serialize.read_measurements_csv(args.measurements)
     if not readings.size:
         raise ValueError(f"{args.measurements}: need at least one detector")
+    layout = inversion.sampling(grid, detectors)
     ms = inversion.MeasurementSet(
-        detectors=detectors, readings=readings,
+        detectors=layout.points, readings=readings,
         sigma=args.sigma if args.sigma is not None else 0.0)
     if args.alpha == "auto":
         if args.sigma is None:
             raise ValueError("--alpha auto needs --sigma (the noise scale)")
-        pilot = inversion.denoise(ms, grid, 1e-6)
+        pilot = inversion.denoise(ms, layout, 1e-6)
         smoothness = inversion.h2_norm_estimate(grid, ops, pilot)
         alpha = inversion.select_alpha(args.sigma, ms.n, smoothness)
     else:
         alpha = _parsed(float, args.alpha)
         if alpha is None or alpha <= 0:
             raise ValueError(f"--alpha takes 'auto' or a positive number, got {args.alpha!r}")
-    fitted = inversion.nonzero_denoise("--alpha", ms, ops, alpha)
+    fitted = inversion.nonzero_denoise("--alpha", ms, layout, ops, alpha)
     os.makedirs(args.out, exist_ok=True)
     serialize.write_field_csv(os.path.join(args.out, "denoised.csv"), grid, fitted)
     serialize.write_json(os.path.join(args.out, "denoise.json"), {
@@ -179,10 +165,7 @@ def _cmd_denoise(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_invert(args) -> int:
-    # the scale comes first, so the user's --set overrides win over it
-    overrides = [f"{_CONFIG_KEYS[name]}={value}" for name, value in _scale(args).items()]
-    overrides += args.set or []
-    cfg = load_config(args.config, tuple(overrides))
+    cfg = load_config(args.config, tuple(args.set or []))
     out = args.out if args.out is not None else cfg.out_dir
     metrics = run_experiment(cfg, out)
     err = metrics["recovery"]["rel_l2_error"]
@@ -342,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                    help="override a config key (repeatable)")
     p.add_argument("--out", default=None)
-    _add_full_scale_flag(p)
     p.set_defaults(handler=_cmd_invert)
 
     p = sub.add_parser("verify-theory", help="analytic span/bound cross-checks")

@@ -14,11 +14,12 @@ the inverse-crime basis at full retained rank and the two fields' CSV
 texts, all built together, and the final state's smoothness estimate once
 a noisy run with ``alpha = auto`` reads it) is kept for the most recent
 problem, truth and snapshot budget, so a study over n_pod or energy solves
-each truth once; so is the detector layout (its nodes, quasi-uniformity
-and ``measurements.csv`` template).  Each key holds every
-input of its result.  Both POD bases come from ``reduced``: the truth stage
-passes the truth's ``snapshot_set`` to ``build_traditional_pod``, the basis
-stage sizes that basis with the run's selector and calls
+each truth once; so is the detector layout (its ``inversion.Sampling``,
+which reads the final state at the detectors and feeds the denoise fit,
+its quasi-uniformity and its ``measurements.csv`` template).  Each key
+holds every input of its result.  Both POD bases come from ``reduced``: the
+truth stage passes the truth's ``snapshot_set`` to ``build_traditional_pod``,
+the basis stage sizes that basis with the run's selector and calls
 ``build_adjoint_pod`` on the measured (or a foreign) field.
 """
 
@@ -47,8 +48,6 @@ from .shapes import list_shapes, make_shape
 from .spectral import ProblemKind, project_onto_modes
 
 _DESK_SIDE = 33     # grid nodes per side at the default (desk) scale
-# the larger scale of the CLI's --full-scale, as ExperimentConfig fields
-STUDY_SCALE = {"nx": 51, "ny": 51, "M": 400}
 DEFAULT_T = {ProblemKind.INVERSE_SOURCE: 1.0, ProblemKind.BACKWARD: 0.05}
 
 _NAMED_COEFFS = {
@@ -455,17 +454,13 @@ def _truth_stage(problem: tuple, truth: str, max_snapshots: int) -> TruthStage:
 
 @functools.lru_cache(maxsize=1)
 def _detector_layout(grid: Grid2D, spec: str) -> tuple:
-    """(nodes, points, quasi-uniformity, measurements CSV template) of the
+    """(sampling, quasi-uniformity, measurements CSV template) of the
     detector layout ``spec`` on ``grid``, a ``build_problem`` grid: what a
-    run derives from the layout alone.  Kept for the most recent arguments;
-    its arrays are read-only."""
-    nodes = detector_nodes(grid, spec)
-    iy, ix = np.divmod(nodes, grid.nx)
-    points = grid.coords[nodes]
-    _read_only(nodes, points)
-    return (nodes, points,
-            _quasi_uniformity(grid.xs[np.unique(ix)], grid.ys[np.unique(iy)]),
-            serialize.measurements_template(points))
+    run derives from the layout alone.  Kept for the most recent arguments."""
+    iy, ix = np.divmod(detector_nodes(grid, spec), grid.nx)
+    layout = inversion.sampling(grid, np.column_stack([grid.xs[ix], grid.ys[iy]]))
+    return (layout, _quasi_uniformity(grid.xs[np.unique(ix)], grid.ys[np.unique(iy)]),
+            serialize.measurements_template(layout.points))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
@@ -490,9 +485,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
         serialize.write_text(os.path.join(out, "final_state.csv"), truth_stage.final_csv)
 
     with _stage("measure", stage_s):
-        det_idx, det_pts, quasi_uniformity, csv_template = _detector_layout(
-            grid, cfg.detectors)
-        ms = inversion.add_noise(det_pts, u_final[det_idx], cfg.noise, cfg.seed)
+        layout, quasi_uniformity, csv_template = _detector_layout(grid, cfg.detectors)
+        ms = inversion.add_noise(layout.points, layout.read(u_final), cfg.noise, cfg.seed)
         serialize.write_measurements_csv(os.path.join(out, "measurements.csv"), ms,
                                          csv_template)
         measurement = {
@@ -514,7 +508,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict
                 alpha_used = inversion.select_alpha(ms.sigma, ms.n, truth_stage.smoothness)
             else:
                 alpha_used = float(cfg.alpha)
-            m_field = inversion.nonzero_denoise(_CONFIG_KEYS["alpha"], ms, ops, alpha_used)
+            m_field = inversion.nonzero_denoise(_CONFIG_KEYS["alpha"], ms, layout, ops,
+                                                alpha_used)
             denoise_info["rel_l2_error_vs_clean_state"] = relative_l2_error(
                 ops, m_field, u_final)
             serialize.write_field_csv(os.path.join(out, "denoised.csv"), grid, m_field)

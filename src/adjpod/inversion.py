@@ -69,18 +69,38 @@ def add_noise(detectors: np.ndarray, clean: np.ndarray, p: float,
     return MeasurementSet(detectors=detectors, readings=readings, sigma=sigma)
 
 
-def snap_detectors_to_nodes(grid: Grid2D, detectors: np.ndarray) -> np.ndarray:
-    """Node indices of detectors that sit on grid nodes; off-grid is an error."""
-    detectors = np.asarray(detectors, dtype=float).reshape(-1, 2)
-    jx = np.clip(np.rint(detectors[:, 0] / grid.hx).astype(int), 0, grid.nx - 1)
-    jy = np.clip(np.rint(detectors[:, 1] / grid.hy).astype(int), 0, grid.ny - 1)
+@dataclass(frozen=True, eq=False)
+class Sampling:
+    """Reads the nodal fields of one grid at detector points; built only by
+    ``sampling``.  Row i of the 0/1 matrix ``P`` picks the node under point i."""
+
+    points: np.ndarray      # (n, 2) detector positions, read-only
+    grid: Grid2D            # the grid whose fields it reads
+    nodes: np.ndarray       # (n,) index of the node under each point, read-only
+    P: sp.csr_matrix        # (n, n_nodes) sampling matrix
+
+    def read(self, u: np.ndarray) -> np.ndarray:
+        """``u`` at the points: ``P @ u`` by node gather, which keeps a -0.0."""
+        return u[self.nodes]
+
+
+def sampling(grid: Grid2D, points: np.ndarray) -> Sampling:
+    """The sampling of ``grid``'s fields at ``points``, each of which must sit
+    on a grid node; an off-grid or non-finite point is an error."""
+    points = _finite(points, "detector coordinates").reshape(-1, 2)
+    jx = np.clip(np.rint(points[:, 0] / grid.hx).astype(int), 0, grid.nx - 1)
+    jy = np.clip(np.rint(points[:, 1] / grid.hy).astype(int), 0, grid.ny - 1)
     nearest = np.column_stack([grid.xs[jx], grid.ys[jy]])
-    dist = np.linalg.norm(detectors - nearest, axis=1)
+    dist = np.linalg.norm(points - nearest, axis=1)
     if np.any(dist > _SNAP_TOL):
-        x, y = detectors[int(np.argmax(dist))]
+        x, y = points[int(np.argmax(dist))]
         raise ValueError(f"detector ({float(x)!r}, {float(y)!r}) does not coincide with "
                          f"a grid node of the {grid.nx}x{grid.ny} grid")
-    return jy * grid.nx + jx
+    nodes = jy * grid.nx + jx
+    n = nodes.size
+    P = sp.coo_matrix((np.ones(n), (np.arange(n), nodes)), shape=(n, grid.n_nodes)).tocsr()
+    points.flags.writeable = nodes.flags.writeable = False
+    return Sampling(points, grid, nodes, P)
 
 
 def laplacian_stencil(grid: Grid2D) -> sp.csr_matrix:
@@ -95,11 +115,12 @@ def laplacian_stencil(grid: Grid2D) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols.ravel())), shape=(node.size, n)).tocsr()
 
 
-def denoise(ms: MeasurementSet, grid: Grid2D, alpha: float) -> np.ndarray:
-    """Penalized least-squares fit of the readings over the grid.
+def denoise(ms: MeasurementSet, layout: Sampling, alpha: float) -> np.ndarray:
+    """Penalized least-squares fit of the readings over the layout's grid.
 
     Minimizes (1/n) sum_i (u(d_i) - m_i)^2 + alpha * ||Lap_h u||^2_{L2}
-    with the five-point Laplacian restricted to interior nodes.  The fit
+    with the five-point Laplacian restricted to interior nodes; the
+    readings' detectors are the layout's points.  The fit
     imposes the known homogeneous boundary values, which makes the
     interior normal system positive-definite for alpha > 0 (a discrete
     harmonic function vanishing on the boundary is zero); readings at
@@ -115,28 +136,29 @@ def denoise(ms: MeasurementSet, grid: Grid2D, alpha: float) -> np.ndarray:
         raise ValueError(f"denoising weight alpha must be finite and positive, got {alpha}")
     if ms.n < 1:
         raise ValueError(f"need at least one detector, got {ms.n}")
-    nodes = snap_detectors_to_nodes(grid, ms.detectors)
-    P, lu = _denoise_factors(grid, nodes, alpha)
-    idx = grid.interior
-    u = np.zeros(grid.n_nodes)
-    u[idx] = lu.solve((P.T @ ms.readings / ms.n)[idx])
+    if not np.array_equal(ms.detectors, layout.points):
+        raise ValueError("the readings' detectors are not the sampling's points")
+    lu = _denoise_factors(layout, alpha)
+    idx = layout.grid.interior
+    u = np.zeros(layout.grid.n_nodes)
+    u[idx] = lu.solve((layout.P.T @ ms.readings / ms.n)[idx])
     return u
 
 
-def nonzero_denoise(label: str, ms: MeasurementSet, ops: DiscreteOperators,
-                    alpha: float) -> np.ndarray:
-    """``denoise(ms, ops.grid, alpha)`` for the weight named ``label`` (a
-    config key or a command-line flag); a fit whose mass norm is zero while
-    some reading is not fails naming the label and alpha."""
-    fitted = denoise(ms, ops.grid, alpha)
+def nonzero_denoise(label: str, ms: MeasurementSet, layout: Sampling,
+                    ops: DiscreteOperators, alpha: float) -> np.ndarray:
+    """``denoise(ms, layout, alpha)`` for the weight named ``label`` (a
+    config key or a command-line flag); a fit whose mass norm under ``ops``
+    is zero while some reading is not fails naming the label and alpha."""
+    fitted = denoise(ms, layout, alpha)
     if ops.norm(fitted) == 0.0 and np.any(ms.readings):
         raise ValueError(f"{label}={alpha:.6g} smooths the readings to a zero field; "
                          f"lower it")
     return fitted
 
 
-# (nx, ny, detector node bytes) of the last call -> (alpha, P, factors of
-# the interior normal matrix), or None: factors are kept only once their
+# (nx, ny, detector node bytes) of the last call -> (alpha, factors of the
+# interior normal matrix), or None: factors are kept only once their
 # layout repeats, so a process that denoises once (a fine-grid run) does not
 # carry megabytes of them through the POD that follows, while a noise study
 # on one layout reuses them from its second call on.  At most one entry, and
@@ -145,25 +167,24 @@ def nonzero_denoise(label: str, ms: MeasurementSet, ops: DiscreteOperators,
 _DENOISE_MEMO: dict = {}
 
 
-def _denoise_factors(grid: Grid2D, nodes: np.ndarray, alpha: float):
-    """(sampling matrix P, ``fem._factorize`` of the interior normal matrix)
-    of ``denoise``, kept for the most recent grid shape, detector layout and
-    alpha once that layout has come twice in a row.  The normal matrix is
-    built from the interior columns of P and of the stencil, so no
-    boundary row or column of it is formed.  A rejected alpha keeps the
-    factors held for its layout."""
-    layout = (grid.nx, grid.ny, nodes.tobytes())
-    repeats = layout in _DENOISE_MEMO
-    held = _DENOISE_MEMO.get(layout)
+def _denoise_factors(layout: Sampling, alpha: float):
+    """``fem._factorize`` of ``denoise``'s interior normal matrix, kept for
+    the most recent grid shape, detector nodes and alpha once that layout
+    has come twice in a row.  The normal matrix is built from the interior
+    columns of the layout's P and of the stencil, so no boundary row or
+    column of it is formed.  A rejected alpha keeps the factors held for
+    its layout."""
+    grid = layout.grid
+    key = (grid.nx, grid.ny, layout.nodes.tobytes())
+    repeats = key in _DENOISE_MEMO
+    held = _DENOISE_MEMO.get(key)
     if held is not None and held[0] == alpha:
-        return held[1:]
-    n = nodes.size
-    P = sp.coo_matrix((np.ones(n), (np.arange(n), nodes)), shape=(n, grid.n_nodes)).tocsr()
+        return held[1]
     idx = grid.interior
-    P_i, B_i = P[:, idx], laplacian_stencil(grid)[:, idx]
+    P_i, B_i = layout.P[:, idx], laplacian_stencil(grid)[:, idx]
     cell = grid.hx * grid.hy
     with np.errstate(over="ignore", invalid="ignore"):
-        H = (P_i.T @ P_i) / n + (alpha * cell) * (B_i.T @ B_i)
+        H = (P_i.T @ P_i) / layout.nodes.size + (alpha * cell) * (B_i.T @ B_i)
     if not np.all(np.isfinite(H.data)):
         raise ValueError(f"denoising weight alpha={alpha} overflows the denoise "
                          f"normal matrix on this grid")
@@ -173,8 +194,8 @@ def _denoise_factors(grid: Grid2D, nodes: np.ndarray, alpha: float):
         lu = _factorize(H, grid.interior_shape)
     except RuntimeError as exc:     # a penalty that underflows leaves it singular
         raise ValueError(f"denoise system with alpha={alpha} is singular ({exc})") from None
-    _DENOISE_MEMO[layout] = (alpha, P, lu) if repeats else None
-    return P, lu
+    _DENOISE_MEMO[key] = (alpha, lu) if repeats else None
+    return lu
 
 
 def select_alpha(sigma: float, n: int, h2_norm_estimate: float) -> float:

@@ -142,7 +142,7 @@ def test_a_bad_coefficient_on_a_multi_block_mesh_keeps_its_message(monkeypatch, 
 def _full_node_denoise(ms, grid, alpha):
     """``denoise`` with the normal matrix built over every node and then
     restricted to the interior, as before."""
-    nodes = inversion.snap_detectors_to_nodes(grid, ms.detectors)
+    nodes = inversion.sampling(grid, ms.detectors).nodes
     n = nodes.size
     P = sp.coo_matrix((np.ones(n), (np.arange(n), nodes)), shape=(n, grid.n_nodes)).tocsr()
     B = inversion.laplacian_stencil(grid)
@@ -161,4 +161,5 @@ def test_interior_first_denoise_gives_the_full_node_bits(monkeypatch, n, spec, a
     grid = build_grid(n, n)
     nodes = detector_nodes(grid, spec)
     ms = add_noise(grid.coords[nodes], make_shape("sin2", grid)[nodes], 0.1, seed=7)
-    assert np.array_equal(denoise(ms, grid, alpha), _full_node_denoise(ms, grid, alpha))
+    assert np.array_equal(denoise(ms, inversion.sampling(grid, ms.detectors), alpha),
+                          _full_node_denoise(ms, grid, alpha))

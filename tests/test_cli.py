@@ -36,16 +36,6 @@ def test_forward_with_shape_input(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_forward_full_scale_flag(tmp_path):
-    out = tmp_path / "fwd_full"
-    code = main(["forward", "--input", "sin1", "--kind", "backward",
-                 "--out", str(out), "--full-scale"])
-    assert code == 0
-    report = read_json(out / "forward.json")
-    assert report["nx"] == 51 and report["M"] == 400
-    assert report["T"] == 0.05
-
-
 def test_forward_reads_a_shape_name_shadowed_by_a_directory(tmp_path, monkeypatch):
     (tmp_path / "sin2").mkdir()
     monkeypatch.chdir(tmp_path)
@@ -134,6 +124,22 @@ def test_denoise_auto_alpha_requires_sigma(tmp_path, capsys):
                  "--sigma", str(ms.sigma), "--out", str(out)])
     assert code == 0
     assert read_json(out / "denoise.json")["alpha"] > 0
+
+
+def test_denoise_rejects_a_detector_off_the_grid_nodes(tmp_path, capsys):
+    grid = build_grid(17, 17)
+    points = grid.coords[grid.interior[:5]].copy()
+    points[3] += (0.5 * grid.hx, 0.0)         # halfway between two nodes
+    path = tmp_path / "meas.csv"
+    serialize.write_measurements_csv(path, add_noise(points, np.ones(5), 0.0))
+    out = tmp_path / "dn"
+    code = main(["denoise", "--measurements", str(path), "--nx", "17", "--ny", "17",
+                 "--alpha", "1e-6", "--out", str(out)])
+    assert code == 1
+    x, y = serialize.read_measurements_csv(path)[0][3]
+    assert (f"FAIL  detector ({float(x)!r}, {float(y)!r}) does not coincide with a grid "
+            f"node of the 17x17 grid") in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags,named", [

@@ -10,7 +10,9 @@ equation M u' + K u = M f exactly in time:
 
 Against the spectral oracle (q = 1, c = 0) the semi-discrete solution
 converges in space at order 2 (Thomee, Galerkin Finite Element Methods for
-Parabolic Problems, 2006); against the semi-discrete solution the
+Parabolic Problems, 2006), and with variable coefficients the semi-discrete
+final states of nested grids, compared at the coarsest grid's nodes,
+converge to each other at that order; against the semi-discrete solution the
 backward-Euler final state converges in time at order 1, for variable
 coefficients too.
 
@@ -71,6 +73,20 @@ def test_the_semi_discrete_solution_converges_at_order_two_in_space(name):
         u = _semi_discrete(kind, MODES.synthesize(grid), ops, tg.T, "1", "0")
         errors.append(ops.norm(u - exact) / ops.norm(exact))
     assert np.all(np.diff(errors) < 0), errors
+    assert abs(_order(errors) - 2.0) <= 0.15, errors
+
+
+@pytest.mark.parametrize("q,c", [("varq", "0"), ("1", "varc"), ("varq", "varc")])
+@pytest.mark.parametrize("name", ["source", "backward"])
+def test_variable_coefficient_final_states_self_converge_at_order_two(name, q, c):
+    coarse = []
+    for side in SIDES:
+        kind, grid, ops, tg = build_problem(name, side, side, None, 1, q, c)
+        u = _semi_discrete(kind, MODES.synthesize(grid), ops, tg.T, q, c)
+        step = (side - 1) // (SIDES[0] - 1)     # every step-th node is a 9 x 9 node
+        coarse.append(u.reshape(side, side)[::step, ::step])
+    errors = [np.linalg.norm(a - b) / np.linalg.norm(b) for a, b in zip(coarse, coarse[1:])]
+    assert errors[1] < errors[0], errors
     assert abs(_order(errors) - 2.0) <= 0.15, errors
 
 

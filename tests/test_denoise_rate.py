@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 from adjpod import (add_noise, build_problem, denoise, detector_nodes, drive,
-                    h2_norm_estimate, make_shape, relative_l2_error, select_alpha)
+                    h2_norm_estimate, make_shape, relative_l2_error, sampling,
+                    select_alpha)
 
 CASES = (("source", "sin2exp"), ("backward", "sin2"))
 SEEDS = (0, 1, 2)
@@ -41,7 +42,8 @@ def _median_errors(kind, truth, n, layouts, levels):
             errors = []
             for seed in SEEDS:
                 ms = add_noise(grid.coords[nodes], final[nodes], p, seed)
-                fitted = denoise(ms, grid, select_alpha(ms.sigma, ms.n, smoothness))
+                fitted = denoise(ms, sampling(grid, ms.detectors),
+                                 select_alpha(ms.sigma, ms.n, smoothness))
                 errors.append(relative_l2_error(ops, fitted, final))
             out[nodes.size, p] = statistics.median(errors)
     return out

@@ -21,7 +21,7 @@ from scipy.sparse.linalg import splu
 
 import adjpod.fem
 from adjpod import (CoefficientSet, TimeGrid, add_noise, assemble_operators, build_grid,
-                    denoise, make_shape, solve_forward)
+                    denoise, make_shape, sampling, solve_forward)
 from adjpod import inversion
 from adjpod.experiment import _NAMED_COEFFS
 from adjpod.fem import PINNED_UNKNOWNS, _BandedCholesky, _factorize
@@ -60,8 +60,8 @@ def _readings(grid):
     return add_noise(grid.coords[nodes], clean, 0.1, seed=1)
 
 
-def _denoise_nodes(grid):
-    return inversion.snap_detectors_to_nodes(grid, _readings(grid).detectors)
+def _denoise_layout(grid):
+    return sampling(grid, _readings(grid).detectors)
 
 
 def _systems(nx, ny):
@@ -69,8 +69,7 @@ def _systems(nx, ny):
     grid = build_grid(nx, ny)
     ops = _ops(grid)
     return {"step": lambda: adjpod.fem._stepper.__wrapped__(ops, DT)[0],
-            "denoise": lambda: inversion._denoise_factors(grid, _denoise_nodes(grid),
-                                                          ALPHA)[1]}
+            "denoise": lambda: inversion._denoise_factors(_denoise_layout(grid), ALPHA)}
 
 
 def _band_system(unknowns, width):
@@ -212,9 +211,9 @@ def _with_colamd(monkeypatch):
 def _matches_colamd_denoise(grid, monkeypatch):
     ms = _readings(grid)
     monkeypatch.setattr(inversion, "_DENOISE_MEMO", {})
-    got = denoise(ms, grid, ALPHA)
+    got = denoise(ms, sampling(grid, ms.detectors), ALPHA)
     _with_colamd(monkeypatch)
-    return _close(got, denoise(ms, grid, ALPHA))
+    return _close(got, denoise(ms, sampling(grid, ms.detectors), ALPHA))
 
 
 def test_banded_denoise_matches_a_colamd_reference(grid65, monkeypatch):
@@ -242,10 +241,10 @@ def test_the_chosen_factors_have_less_fill_than_colamd_past_the_threshold(grid13
     assert _fill(stepper) < _fill(splu(_time_step_system(ops, DT), permc_spec="COLAMD"))
 
     monkeypatch.setattr(inversion, "_DENOISE_MEMO", {})
-    nodes = _denoise_nodes(grid131)
-    chosen = inversion._denoise_factors(grid131, nodes, ALPHA)[1]
+    layout = _denoise_layout(grid131)
+    chosen = inversion._denoise_factors(layout, ALPHA)
     _with_colamd(monkeypatch)
-    assert _fill(chosen) < _fill(inversion._denoise_factors(grid131, nodes, ALPHA)[1])
+    assert _fill(chosen) < _fill(inversion._denoise_factors(layout, ALPHA))
 
 
 def test_the_band_is_factored_in_place(grid65):

@@ -12,8 +12,9 @@ import adjpod.reduced
 from adjpod import (CoefficientSet, ExperimentConfig, InverseConfig, TimeGrid,
                     add_noise, assemble_operators, build_adjoint_pod, build_grid,
                     build_reduced_model, compute_pod_basis, denoise, gradient_of_J,
-                    make_shape, select_alpha, solve_forward, tikhonov_direct_reduced,
-                    tikhonov_gradient_descent_reduced, write_field_csv,
+                    make_shape, sampling, select_alpha, solve_forward,
+                    tikhonov_direct_reduced, tikhonov_gradient_descent_reduced,
+                    write_field_csv,
                     write_measurements_csv)
 from adjpod.cli import main
 from adjpod.fem import conform_dirichlet
@@ -286,14 +287,14 @@ def noisy(grid):
 @pytest.mark.parametrize("bad", BAD)
 def test_denoise_rejects_a_non_finite_alpha(grid, noisy, bad):
     with pytest.raises(ValueError, match="alpha must be finite and positive"):
-        denoise(noisy, grid, bad)
+        denoise(noisy, sampling(grid, noisy.detectors), bad)
 
 
 def test_denoise_rejects_an_alpha_whose_normal_matrix_overflows(grid, noisy):
     with warnings.catch_warnings():
         warnings.simplefilter("error")          # no RuntimeWarning either
         with pytest.raises(ValueError, match="alpha=1e[+]308 overflows"):
-            denoise(noisy, grid, 1e308)
+            denoise(noisy, sampling(grid, noisy.detectors), 1e308)
 
 
 def test_a_rejected_alpha_keeps_the_held_denoise_factorization(grid, noisy, monkeypatch):
@@ -302,25 +303,26 @@ def test_a_rejected_alpha_keeps_the_held_denoise_factorization(grid, noisy, monk
     monkeypatch.setattr(adjpod.inversion, "_factorize",
                         lambda a, shape: calls.append(a.shape) or real(a, shape))
     monkeypatch.setattr(adjpod.inversion, "_DENOISE_MEMO", {})
-    first = denoise(noisy, grid, 1e-6)
-    assert np.array_equal(denoise(noisy, grid, 1e-6), first)   # the layout repeats
+    layout = sampling(grid, noisy.detectors)
+    first = denoise(noisy, layout, 1e-6)
+    assert np.array_equal(denoise(noisy, layout, 1e-6), first)   # the layout repeats
     assert len(calls) == 2                                     # so its LU is held
     with pytest.raises(ValueError, match="overflows"):
-        denoise(noisy, grid, 1e308)
-    assert np.array_equal(denoise(noisy, grid, 1e-6), first)
+        denoise(noisy, layout, 1e308)
+    assert np.array_equal(denoise(noisy, layout, 1e-6), first)
     assert len(calls) == 2
 
 
 def test_denoise_rejects_zero_detectors(grid):
     empty = add_noise(np.empty((0, 2)), np.empty(0), 0.0)
     with pytest.raises(ValueError, match="need at least one detector, got 0"):
-        denoise(empty, grid, 1e-3)
+        denoise(empty, sampling(grid, empty.detectors), 1e-3)
 
 
 def test_denoise_names_an_alpha_whose_penalty_underflows(grid, noisy):
     # alpha * cell rounds to 0, and half the interior has no detector
     with pytest.raises(ValueError, match="alpha=5e-324 is singular"):
-        denoise(noisy, grid, 5e-324)
+        denoise(noisy, sampling(grid, noisy.detectors), 5e-324)
 
 
 def test_a_singular_banded_denoise_keeps_the_held_factorization(monkeypatch):
@@ -334,14 +336,15 @@ def test_a_singular_banded_denoise_keeps_the_held_factorization(monkeypatch):
     monkeypatch.setattr(adjpod.inversion, "_factorize",
                         lambda a, shape: calls.append(a.shape) or real(a, shape))
     monkeypatch.setattr(adjpod.inversion, "_DENOISE_MEMO", {})
-    first = denoise(ms, grid, 1e-6)
-    assert np.array_equal(denoise(ms, grid, 1e-6), first)   # the layout repeats
+    layout = sampling(grid, ms.detectors)
+    first = denoise(ms, layout, 1e-6)
+    assert np.array_equal(denoise(ms, layout, 1e-6), first)   # the layout repeats
     (held,) = adjpod.inversion._DENOISE_MEMO.values()
-    assert isinstance(held[2], adjpod.fem._BandedCholesky)
+    assert isinstance(held[1], adjpod.fem._BandedCholesky)
     with pytest.raises(ValueError, match="alpha=5e-324 is singular"):
-        denoise(ms, grid, 5e-324)
+        denoise(ms, layout, 5e-324)
     assert len(calls) == 3
-    assert np.array_equal(denoise(ms, grid, 1e-6), first)
+    assert np.array_equal(denoise(ms, layout, 1e-6), first)
     assert len(calls) == 3
 
 

@@ -7,7 +7,7 @@ from adjpod import (CoefficientSet, InverseConfig, TimeGrid, add_noise,
                     assemble_operators, build_adjoint_pod, build_grid,
                     build_reduced_model, denoise, descent_step_bound,
                     gradient_of_J, h2_norm_estimate, laplacian_stencil,
-                    select_alpha, snap_detectors_to_nodes, spod_matrix,
+                    sampling, select_alpha, spod_matrix,
                     tikhonov_direct, tikhonov_direct_reduced,
                     tikhonov_gradient_descent_reduced, tikhonov_objective)
 from adjpod.experiment import _quasi_uniformity
@@ -83,14 +83,14 @@ def test_add_noise_validation(grid, smooth_field):
 
 def test_snap_detectors_recovers_node_indices(grid):
     nodes = np.array([0, 17, grid.n_nodes - 1])
-    idx = snap_detectors_to_nodes(grid, grid.coords[nodes])
+    idx = sampling(grid, grid.coords[nodes]).nodes
     np.testing.assert_array_equal(idx, nodes)
 
 
 def test_snap_detectors_rejects_off_node_points(grid):
     off = grid.coords[17] + 0.3 * grid.hx
     with pytest.raises(ValueError, match="grid node"):
-        snap_detectors_to_nodes(grid, off.reshape(1, 2))
+        sampling(grid, off.reshape(1, 2))
 
 
 # ---------------------------------------------------------------- denoise
@@ -106,7 +106,7 @@ def test_laplacian_stencil_exact_on_quadratics(grid):
 def test_denoise_reproduces_clean_data(grid, smooth_field):
     det = grid.coords[grid.interior]
     ms = add_noise(det, smooth_field[grid.interior], p=0.0)
-    fit = denoise(ms, grid, alpha=1e-12)
+    fit = denoise(ms, sampling(grid, det), alpha=1e-12)
     np.testing.assert_array_equal(fit[grid.boundary], 0.0)
     err = np.linalg.norm(fit - smooth_field) / np.linalg.norm(smooth_field)
     assert err < 1e-5
@@ -117,7 +117,7 @@ def test_denoise_attenuates_noise(grid, ops, smooth_field):
     clean = smooth_field[grid.interior]
     ms = add_noise(det, clean, p=0.25, seed=11)
     alpha = select_alpha(ms.sigma, ms.n, h2_norm_estimate(grid, ops, smooth_field))
-    fit = denoise(ms, grid, alpha)
+    fit = denoise(ms, sampling(grid, det), alpha)
     raw_err = np.linalg.norm(ms.readings - clean) / np.linalg.norm(clean)
     fit_err = np.linalg.norm(fit[grid.interior] - clean) / np.linalg.norm(clean)
     assert fit_err < raw_err
@@ -128,7 +128,7 @@ def test_denoise_requires_positive_alpha(grid, smooth_field):
     ms = add_noise(det, smooth_field[grid.interior], p=0.0)
     for alpha in (0.0, -1e-3):
         with pytest.raises(ValueError):
-            denoise(ms, grid, alpha)
+            denoise(ms, sampling(grid, det), alpha)
 
 
 def test_select_alpha_value_floor_and_monotonicity():

@@ -19,7 +19,7 @@ import adjpod.reduced
 from adjpod import (CoefficientSet, InverseConfig, TimeGrid,
                     add_noise, assemble_operators, build_adjoint_pod, build_grid,
                     build_reduced_model, collect_snapshots, denoise, mode_table,
-                    reduced_solve, solve_forward,
+                    reduced_solve, sampling, solve_forward,
                     tikhonov_gradient_descent_reduced)
 from adjpod.fem import _stepper
 from adjpod.inversion import descent_step_bound, tikhonov_objective
@@ -220,7 +220,7 @@ def test_the_auxiliary_trajectory_is_freed_before_pod_runs(grid, ops, monkeypatc
 def _reference_denoise(ms, grid, alpha):
     """Denoise with a fresh factorization: the memo cleared first."""
     adjpod.inversion._DENOISE_MEMO.clear()
-    return denoise(ms, grid, alpha)
+    return denoise(ms, sampling(grid, ms.detectors), alpha)
 
 
 def _measurements(grid, nodes, seed):
@@ -244,34 +244,34 @@ def test_denoise_factorizes_once_per_grid_detectors_and_alpha(grid, monkeypatch)
     nodes = grid.interior[:40:3]            # the first interior rows
     ms1, ms2 = _measurements(grid, nodes, seed=1), _measurements(grid, nodes, seed=2)
 
-    first = denoise(ms1, grid, 1e-6)
+    first = denoise(ms1, sampling(grid, ms1.detectors), 1e-6)
     assert len(calls) == 1 and _held_alpha() is None     # first call: not kept
-    second = denoise(ms2, grid, 1e-6)
+    second = denoise(ms2, sampling(grid, ms2.detectors), 1e-6)
     assert len(calls) == 2 and _held_alpha() == 1e-6     # layout repeats: kept
-    warm = denoise(ms1, grid, 1e-6)
+    warm = denoise(ms1, sampling(grid, ms1.detectors), 1e-6)
     assert len(calls) == 2                               # hit
     assert np.array_equal(second, _reference_denoise(ms2, grid, 1e-6))
     assert np.array_equal(warm, _reference_denoise(ms1, grid, 1e-6))
     assert np.array_equal(first, _reference_denoise(ms1, grid, 1e-6))
     assert len(calls) == 5
 
-    denoise(ms1, grid, 1e-6)
+    denoise(ms1, sampling(grid, ms1.detectors), 1e-6)
     assert len(calls) == 6                               # layout repeats: kept
-    denoise(ms2, grid, 1e-6)
+    denoise(ms2, sampling(grid, ms2.detectors), 1e-6)
     assert len(calls) == 6                               # hit
-    denoise(ms1, grid, 2e-6)
+    denoise(ms1, sampling(grid, ms1.detectors), 2e-6)
     assert len(calls) == 7 and _held_alpha() == 2e-6     # alpha changed: kept
     assert len(adjpod.inversion._DENOISE_MEMO) == 1
     other = _measurements(grid, grid.interior[::4], seed=1)
-    assert np.array_equal(denoise(other, grid, 2e-6),
+    assert np.array_equal(denoise(other, sampling(grid, other.detectors), 2e-6),
                           _reference_denoise(other, grid, 2e-6))
     assert len(calls) == 9 and _held_alpha() is None     # detectors changed
-    denoise(ms1, grid, 2e-6)
+    denoise(ms1, sampling(grid, ms1.detectors), 2e-6)
     assert len(calls) == 10 and _held_alpha() is None
     # the same node indices and alpha on a grid with fewer rows
     shorter = build_grid(grid.nx, grid.ny - 2)
     short = _measurements(shorter, nodes, seed=1)
-    assert np.array_equal(denoise(short, shorter, 2e-6),
+    assert np.array_equal(denoise(short, sampling(shorter, short.detectors), 2e-6),
                           _reference_denoise(short, shorter, 2e-6))
     assert len(calls) == 12 and _held_alpha() is None    # grid changed
 
